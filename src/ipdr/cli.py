@@ -19,7 +19,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cnf import Clause, FAnd, FOr, FVar
+from .certify import check_invariant, check_trace
+from .cnf import Clause
 from .engine import (
     BudgetExceeded,
     Invariant,
@@ -36,17 +37,9 @@ from .incremental import (
 )
 from .pebbling import decode_pebbling_trace, encode_pebbling, load_dag
 from .peterson import describe_state, encode_peterson
-from .solver import Solver, SolverTimeout, tseitin_encode
+from .solver import SolverTimeout
 from .stats import RunStats, aggregate, emit_aggregate_csv, emit_csv, parse_csv
-from .system import (
-    Instance,
-    InstanceFamily,
-    State,
-    effective_init,
-    full_assumptions,
-    parse_explicit_family,
-    state_satisfies,
-)
+from .system import Instance, InstanceFamily, State, parse_explicit_family
 
 STRATEGIES = ("naive", "constrain", "relax", "binary")
 
@@ -328,69 +321,6 @@ def cmd_peterson(args) -> int:
 # --- validate ----------------------------------------------------------------------
 
 
-def _fresh_loaded(system, clause_sets) -> Solver:
-    solver = Solver()
-    while solver.nvars < system.nvars:
-        solver.fresh_var()
-    for clauses in clause_sets:
-        for c in clauses:
-            solver.add_clause(c.lits)
-    return solver
-
-
-def _negated_root(solver: Solver, clauses) -> int:
-    """Tseitin root for the negation of a clause conjunction."""
-    return tseitin_encode(
-        solver, FOr(*[FAnd(*[FVar(-l) for l in c]) for c in clauses])
-    )
-
-
-def _check_trace(inst: Instance, states: list[State]) -> dict[str, bool]:
-    sys_ = inst.system
-    checks = {
-        "trace-initial": bool(states)
-        and state_satisfies(sys_, states[0], effective_init(inst)),
-        "trace-final": bool(states)
-        and not state_satisfies(sys_, states[-1], sys_.prop),
-    }
-    ok = True
-    if states:
-        solver = _fresh_loaded(sys_, [sys_.defs, sys_.trans])
-        gamma = list(full_assumptions(inst))
-        for a, b in zip(states, states[1:]):
-            step = (
-                gamma
-                + list(sys_.state_cube(a).lits)
-                + list(sys_.prime_cube(sys_.state_cube(b)).lits)
-            )
-            if not solver.solve(step).sat:
-                ok = False
-                break
-    checks["trace-steps"] = bool(states) and ok
-    return checks
-
-
-def _check_invariant(inst: Instance, clauses: list[Clause]) -> dict[str, bool]:
-    sys_ = inst.system
-    gamma = list(full_assumptions(inst))
-
-    s = _fresh_loaded(sys_, [sys_.defs, sys_.init])
-    init_ok = not s.solve(gamma + [_negated_root(s, clauses)]).sat
-
-    s = _fresh_loaded(sys_, [sys_.defs, sys_.trans, clauses])
-    primed = [sys_.prime_clause(c) for c in clauses]
-    cons_ok = not s.solve(gamma + [_negated_root(s, primed)]).sat
-
-    s = _fresh_loaded(sys_, [sys_.defs, clauses])
-    safe_ok = not s.solve(gamma + [_negated_root(s, sys_.prop)]).sat
-
-    return {
-        "invariant-initiation": init_ok,
-        "invariant-consecution": cons_ok,
-        "invariant-safety": safe_ok,
-    }
-
-
 def _rebuild_family(problem: dict) -> InstanceFamily:
     kind = problem["kind"]
     if kind in ("system", "family"):
@@ -424,13 +354,13 @@ def cmd_validate(args) -> int:
         if "trace" in doc:
             label = doc.get("trace_instance") or doc["instance"]
             states = [State.from_bits(b) for b in doc["trace"]["states"]]
-            checks.update(_check_trace(_instance_by_label(family, label), states))
+            checks.update(check_trace(_instance_by_label(family, label), states))
             checked = True
         if "invariant" in doc:
             label = doc.get("invariant_instance") or doc["instance"]
             clauses = [Clause(lits) for lits in doc["invariant"]["clauses"]]
             checks.update(
-                _check_invariant(_instance_by_label(family, label), clauses)
+                check_invariant(_instance_by_label(family, label), clauses)
             )
             checked = True
         if not checked:

@@ -6,11 +6,9 @@ j >= i. Level 0 is the initial constraint and has no delta; deltas normally
 run 1..k+1 for frontier k, but levels above k+1 may hold preloaded clauses
 after a frame repair (they are dormant until the frontier reaches them).
 
-All SAT work goes through a frame-solver object so the engine is indifferent
-to whether one incremental context serves every frame (the default; frame
-clauses sit behind per-level activation literals and retired clauses are
-never deleted, they just stop being assumed) or each frame keeps a context
-of its own.
+All SAT work goes through one frame solver: a single incremental context
+serves every frame, frame clauses sit behind per-level activation literals,
+and retired clauses are never deleted, they just stop being assumed.
 """
 
 from __future__ import annotations
@@ -19,9 +17,10 @@ import heapq
 import time
 from dataclasses import dataclass, field
 
-from .cnf import Clause, Cube, FAnd, FOr, FVar, clause_blocks
-from .solver import SatResult, Solver, SolverTimeout, tseitin_clauses
-from .system import Instance, State, TransitionSystem, full_assumptions
+from .certify import Skeleton, replay
+from .cnf import Clause, Cube, clause_blocks
+from .solver import SolverTimeout
+from .system import Instance, State, TransitionSystem
 
 
 class EngineError(Exception):
@@ -48,7 +47,6 @@ class PdrConfig:
     ctg_depth: int = 1
     max_ctgs: int = 5
     debug_invariants: bool = False
-    multi_context: bool = False
 
 
 @dataclass(frozen=True)
@@ -111,136 +109,21 @@ class EngineCounters:
     obligations: int = 0
 
 
-# --- frame solvers ------------------------------------------------------------------
+# --- frame solver -------------------------------------------------------------------
 
 
-class FrameSolver:
-    """Query layer shared by the engine and the incremental drivers.
-
-    Contract: nothing asserted is ever retracted. Temporary clauses (the
-    negation of a cube in a relative-induction query) ride behind one-shot
-    guard literals that are permanently falsified after the query.
-    """
-
-    def __init__(self, system: TransitionSystem, config: PdrConfig):
-        self.system = system
-        self.config = config
-        self.gamma: tuple[int, ...] = ()
-        self.deadline: float | None = None
-
-    # -- binding and bookkeeping
-
-    def bind_instance(self, inst: Instance) -> None:
-        self.gamma = full_assumptions(inst)
-        self._on_bind(inst)
-
-    def _on_bind(self, inst: Instance) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def ensure_level(self, level: int) -> None:
-        raise NotImplementedError
-
-    def note_clause(self, clause: Clause, level: int) -> None:
-        raise NotImplementedError
-
-    def reset_frames(self) -> None:
-        raise NotImplementedError
-
-    # -- queries
-
-    def sat_init(self, cube: Cube) -> SatResult:
-        """SAT(I and cube)."""
-        raise NotImplementedError
-
-    def sat_init_bad(self) -> SatResult:
-        """SAT(I and not P)."""
-        raise NotImplementedError
-
-    def sat_cube_bad(self, cube: Cube) -> bool:
-        """SAT(cube and not P) with no frames or step relation."""
-        raise NotImplementedError
-
-    def bad_cube_at(self, level: int) -> Cube | None:
-        """Model of F_level and not P, as a total state cube. Level 0 is the
-        initial constraint."""
-        raise NotImplementedError
-
-    def sat_frame_cube(self, level: int, cube: Cube) -> bool:
-        """SAT(F_level and P and cube), no step relation."""
-        raise NotImplementedError
-
-    def rel_ind(self, level: int, cube: Cube) -> tuple[bool, Cube]:
-        """Relative induction: SAT(F_level and P and not cube and step and
-        cube'). Returns (True, core subcube) when blocked, else (False,
-        predecessor state cube)."""
-        raise NotImplementedError
-
-    def step_holds(self, level: int, clause: Clause, with_prop: bool = True) -> bool:
-        """UNSAT(F_level [and P] and step and not clause')."""
-        raise NotImplementedError
-
-    def sat_step(self, pre: Cube, post: Cube) -> bool:
-        """SAT(pre and step and post'), no frames, no property."""
-        raise NotImplementedError
-
-    # -- counters
-
-    @property
-    def sat_calls(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def sat_time_s(self) -> float:
-        raise NotImplementedError
-
-    # -- shared helpers
-
-    def _core_subcube(self, cube: Cube, core: frozenset[int]) -> Cube:
-        sys_ = self.system
-        kept = [l for l in cube if sys_.prime_lit(l) in core]
-        return Cube(kept) if kept else cube
-
-
-def _assert_neg_prop(solver: Solver, prop: tuple[Clause, ...]) -> int:
-    """Define a literal equivalent to the property's negation."""
-    if not prop:
-        return -solver.true_lit()
-    f = FOr(*[FAnd(*[FVar(-l) for l in c]) for c in prop])
-    root, clauses = tseitin_clauses(solver, f)
-    for c in clauses:
-        solver.add_clause(c.lits)
-    return root
-
-
-class SingleContextSolver(FrameSolver):
-    """One incremental solver for everything. Step constraints are guarded
-    by a step literal so initial-state queries are not distorted by deadlock
-    states, frame clauses by per-level activation literals, and initial
-    constraints by a per-binding activation literal."""
+class SingleContextSolver(Skeleton):
+    """The query layer shared by the engine and the incremental drivers: one
+    incremental solver for everything, on the skeleton `certify` loads.
+    Frame clauses sit behind per-level activation literals. Temporary
+    clauses (the negation of a cube in a relative-induction query) ride
+    behind one-shot guard literals that are permanently falsified after the
+    query."""
 
     def __init__(self, system: TransitionSystem, config: PdrConfig):
-        super().__init__(system, config)
-        s = Solver(seed=config.seed)
-        self.solver = s
-        while s.nvars < system.nvars:
-            s.fresh_var()
-        for c in system.defs:
-            s.add_clause(c.lits)
-        self.step_act = s.fresh_var()
-        for c in system.trans:
-            s.add_clause([-self.step_act, *c.lits])
-        self.prop_act = s.fresh_var()
-        for c in system.prop:
-            s.add_clause([-self.prop_act, *c.lits])
-        self.neg_prop = _assert_neg_prop(s, system.prop)
-        self.init_act: int | None = None
+        super().__init__(system, config.seed)
         self.acts: list[int] = []  # activation per delta level, index 0 unused
         self._asserted: set[tuple[Clause, int]] = set()
-
-    def _on_bind(self, inst: Instance) -> None:
-        self.init_act = self.solver.fresh_var()
-        for c in self.system.init:
-            self.solver.add_clause([-self.init_act, *c.lits])
 
     def ensure_level(self, level: int) -> None:
         while len(self.acts) <= level:
@@ -260,41 +143,28 @@ class SingleContextSolver(FrameSolver):
         # never assumed again
         self.acts = []
 
-    def _frame_assumptions(self, level: int) -> list[int]:
-        return self.acts[max(level, 1):]
-
-    def _solve(self, assumptions: list[int]) -> SatResult:
-        return self.solver.solve(assumptions, deadline=self.deadline)
-
-    def sat_init(self, cube: Cube) -> SatResult:
-        return self._solve([self.init_act, *self.gamma, *cube.lits])
-
-    def sat_init_bad(self) -> SatResult:
-        return self._solve([self.init_act, self.neg_prop, *self.gamma])
-
-    def sat_cube_bad(self, cube: Cube) -> bool:
-        return self._solve([self.neg_prop, *self.gamma, *cube.lits]).sat
+    def _base(self, level: int) -> list[int]:
+        """Assumptions selecting F_level; level 0 is the initial constraint."""
+        return [self.init_act] if level == 0 else self.acts[level:]
 
     def bad_cube_at(self, level: int) -> Cube | None:
-        base = [self.init_act] if level == 0 else self._frame_assumptions(level)
-        r = self._solve([*base, self.neg_prop, *self.gamma])
+        """Model of F_level and not P, as a total state cube."""
+        r = self._solve([*self._base(level), self.neg_prop, *self.gamma])
         return r.cube(self.system.state_vars) if r.sat else None
 
     def sat_frame_cube(self, level: int, cube: Cube) -> bool:
-        base = [self.init_act] if level == 0 else self._frame_assumptions(level)
-        return self._solve([*base, self.prop_act, *self.gamma, *cube.lits]).sat
-
-    def _one_shot(self, clause_lits: list[int]) -> int:
-        g = self.solver.fresh_var()
-        self.solver.add_clause([-g, *clause_lits])
-        return g
+        """SAT(F_level and P and cube), no step relation."""
+        return self._solve([*self._base(level), self.prop_act, *self.gamma, *cube.lits]).sat
 
     def rel_ind(self, level: int, cube: Cube) -> tuple[bool, Cube]:
+        """Relative induction: SAT(F_level and P and not cube and step and
+        cube'). Returns (True, core subcube) when blocked, else (False,
+        predecessor state cube)."""
         sys_ = self.system
-        g = self._one_shot([-l for l in cube])
-        base = [self.init_act] if level == 0 else self._frame_assumptions(level)
+        g = self.solver.fresh_var()
+        self.solver.add_clause([-g, *(-l for l in cube)])
         assumptions = [
-            *base,
+            *self._base(level),
             self.prop_act,
             self.step_act,
             g,
@@ -305,26 +175,17 @@ class SingleContextSolver(FrameSolver):
         self.solver.add_clause([-g])
         if r.sat:
             return False, r.cube(sys_.state_vars)
-        return True, self._core_subcube(cube, r.core)
+        kept = [l for l in cube if sys_.prime_lit(l) in r.core]
+        return True, Cube(kept) if kept else cube
 
     def step_holds(self, level: int, clause: Clause, with_prop: bool = True) -> bool:
+        """UNSAT(F_level [and P] and step and not clause')."""
         sys_ = self.system
-        base = [self.init_act] if level == 0 else self._frame_assumptions(level)
-        assumptions = [*base, self.step_act, *self.gamma]
+        assumptions = [*self._base(level), self.step_act, *self.gamma]
         if with_prop:
             assumptions.append(self.prop_act)
         assumptions.extend(sys_.prime_lit(-l) for l in clause)
         return not self._solve(assumptions).sat
-
-    def sat_step(self, pre: Cube, post: Cube) -> bool:
-        sys_ = self.system
-        assumptions = [
-            self.step_act,
-            *self.gamma,
-            *pre.lits,
-            *(sys_.prime_lit(l) for l in post),
-        ]
-        return self._solve(assumptions).sat
 
     @property
     def sat_calls(self) -> int:
@@ -333,150 +194,6 @@ class SingleContextSolver(FrameSolver):
     @property
     def sat_time_s(self) -> float:
         return self.solver.solve_time_s
-
-
-class _Context:
-    """One solver with the system skeleton loaded and its control literals."""
-
-    def __init__(self, system: TransitionSystem, seed: int, with_init: bool):
-        s = Solver(seed=seed)
-        while s.nvars < system.nvars:
-            s.fresh_var()
-        for c in system.defs:
-            s.add_clause(c.lits)
-        self.step_act = s.fresh_var()
-        for c in system.trans:
-            s.add_clause([-self.step_act, *c.lits])
-        self.prop_act = s.fresh_var()
-        for c in system.prop:
-            s.add_clause([-self.prop_act, *c.lits])
-        self.neg_prop = _assert_neg_prop(s, system.prop)
-        if with_init:
-            for c in system.init:
-                s.add_clause(c.lits)
-        self.solver = s
-        self.loaded: set[Clause] = set()
-
-    def add_frame_clause(self, clause: Clause) -> None:
-        if clause not in self.loaded:
-            self.solver.add_clause(clause.lits)
-            self.loaded.add(clause)
-
-
-class MultiContextSolver(FrameSolver):
-    """A solver per frame level, plus one for the initial constraint and one
-    pristine stepper for trace replay. Frame clauses are asserted plainly in
-    every context at or below their level; a frame repair drops the per-level
-    contexts and rebuilds them lazily from the new frame sequence."""
-
-    def __init__(self, system: TransitionSystem, config: PdrConfig, frames: "FrameSeq"):
-        super().__init__(system, config)
-        self.frames = frames
-        self._retired_calls = 0
-        self._retired_time = 0.0
-        self.ictx = _Context(system, config.seed, with_init=True)
-        self.rctx = _Context(system, config.seed, with_init=False)
-        self.mctx: dict[int, _Context] = {}
-
-    def _on_bind(self, inst: Instance) -> None:
-        pass  # initial clauses are raw; instances differ by assumptions only
-
-    def _at(self, level: int) -> _Context:
-        if level == 0:
-            return self.ictx
-        c = self.mctx.get(level)
-        if c is None:
-            c = _Context(self.system, self.config.seed, with_init=False)
-            for cl in self.frames.frame_clauses(level):
-                c.add_frame_clause(cl)
-            self.mctx[level] = c
-        return c
-
-    def ensure_level(self, level: int) -> None:
-        pass  # contexts are built on first query
-
-    def note_clause(self, clause: Clause, level: int) -> None:
-        for lvl, c in self.mctx.items():
-            if lvl <= level:
-                c.add_frame_clause(clause)
-
-    def reset_frames(self) -> None:
-        for c in self.mctx.values():
-            self._retired_calls += c.solver.n_solves
-            self._retired_time += c.solver.solve_time_s
-        self.mctx.clear()
-
-    def _solve(self, c: _Context, assumptions: list[int]) -> SatResult:
-        return c.solver.solve(assumptions, deadline=self.deadline)
-
-    def sat_init(self, cube: Cube) -> SatResult:
-        return self._solve(self.ictx, [*self.gamma, *cube.lits])
-
-    def sat_init_bad(self) -> SatResult:
-        return self._solve(self.ictx, [self.ictx.neg_prop, *self.gamma])
-
-    def sat_cube_bad(self, cube: Cube) -> bool:
-        c = self.rctx
-        return self._solve(c, [c.neg_prop, *self.gamma, *cube.lits]).sat
-
-    def bad_cube_at(self, level: int) -> Cube | None:
-        c = self._at(level)
-        r = self._solve(c, [c.neg_prop, *self.gamma])
-        return r.cube(self.system.state_vars) if r.sat else None
-
-    def sat_frame_cube(self, level: int, cube: Cube) -> bool:
-        c = self._at(level)
-        return self._solve(c, [c.prop_act, *self.gamma, *cube.lits]).sat
-
-    def rel_ind(self, level: int, cube: Cube) -> tuple[bool, Cube]:
-        sys_ = self.system
-        c = self._at(level)
-        g = c.solver.fresh_var()
-        c.solver.add_clause([-g, *(-l for l in cube)])
-        assumptions = [
-            c.prop_act,
-            c.step_act,
-            g,
-            *self.gamma,
-            *(sys_.prime_lit(l) for l in cube),
-        ]
-        r = self._solve(c, assumptions)
-        c.solver.add_clause([-g])
-        if r.sat:
-            return False, r.cube(sys_.state_vars)
-        return True, self._core_subcube(cube, r.core)
-
-    def step_holds(self, level: int, clause: Clause, with_prop: bool = True) -> bool:
-        sys_ = self.system
-        c = self._at(level)
-        assumptions = [c.step_act, *self.gamma]
-        if with_prop:
-            assumptions.append(c.prop_act)
-        assumptions.extend(sys_.prime_lit(-l) for l in clause)
-        return not self._solve(c, assumptions).sat
-
-    def sat_step(self, pre: Cube, post: Cube) -> bool:
-        sys_ = self.system
-        c = self.rctx
-        assumptions = [
-            c.step_act,
-            *self.gamma,
-            *pre.lits,
-            *(sys_.prime_lit(l) for l in post),
-        ]
-        return self._solve(c, assumptions).sat
-
-    @property
-    def sat_calls(self) -> int:
-        live = self.ictx.solver.n_solves + self.rctx.solver.n_solves
-        live += sum(c.solver.n_solves for c in self.mctx.values())
-        return self._retired_calls + live
-
-    @property
-    def sat_time_s(self) -> float:
-        live = self.ictx.solver.solve_time_s + self.rctx.solver.solve_time_s
-        live += sum(c.solver.solve_time_s for c in self.mctx.values())
-        return self._retired_time + live
 
 
 # --- engine state -------------------------------------------------------------------
@@ -492,10 +209,7 @@ class PdrCtx:
         self.instance = instance
         self.frames = FrameSeq()
         self.frames.ensure_level(1)
-        if self.config.multi_context:
-            self.fs: FrameSolver = MultiContextSolver(self.system, self.config, self.frames)
-        else:
-            self.fs = SingleContextSolver(self.system, self.config)
+        self.fs = SingleContextSolver(self.system, self.config)
         self.fs.bind_instance(instance)
         self.queue: list[Obligation] = []
         self._order = 0
@@ -510,14 +224,12 @@ class PdrCtx:
             raise ValueError("rebinding requires the shared family system")
         self.instance = instance
         self.fs.bind_instance(instance)
-        if isinstance(self.fs, MultiContextSolver):
-            self.fs.frames = self.frames
 
 
 # --- main loop ----------------------------------------------------------------------
 
 
-def _check_deadline(fs: FrameSolver) -> None:
+def _check_deadline(fs: SingleContextSolver) -> None:
     if fs.deadline is not None and time.perf_counter() > fs.deadline:
         raise SolverTimeout("engine deadline exceeded")
 
@@ -722,20 +434,15 @@ def propagate(ctx: PdrCtx) -> int | None:
 def extract_trace(ctx: PdrCtx, init_cube: Cube, ob: Obligation) -> Trace:
     """Assemble the counterexample from the obligation chain and replay every
     step against the raw step relation before reporting it."""
-    fs, sys_ = ctx.fs, ctx.system
     cubes = [init_cube]
     cur: Obligation | None = ob
     while cur is not None:
         cubes.append(cur.cube)
         cur = cur.parent
-    if not fs.sat_init(cubes[0]).sat:
-        raise EngineError("trace head is not an initial state")
-    for pre, post in zip(cubes, cubes[1:]):
-        if not fs.sat_step(pre, post):
-            raise EngineError("trace step does not satisfy the step relation")
-    if not fs.sat_cube_bad(cubes[-1]):
-        raise EngineError("trace tail does not violate the property")
-    return Trace(tuple(State.from_cube(sys_, c) for c in cubes))
+    failed = [name for name, ok in replay(ctx.fs, cubes).items() if not ok]
+    if failed:
+        raise EngineError(f"extracted trace fails {', '.join(failed)}")
+    return Trace(tuple(State.from_cube(ctx.system, c) for c in cubes))
 
 
 def validate_ctx(ctx: PdrCtx, frontier_clear: bool = True) -> list[str]:

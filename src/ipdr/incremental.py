@@ -15,26 +15,24 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from .certify import check_trace
 from .cnf import Clause
 from .engine import (
     FrameSeq,
     Invariant,
     InvariantViolation,
-    MultiContextSolver,
     PdrConfig,
     PdrCtx,
     Trace,
     UsageError,
     Verdict,
-    _assert_neg_prop,
     pdr_init,
     pdr_main,
     propagate,
     validate_ctx,
 )
-from .solver import Solver
 from .stats import RunStats
-from .system import Instance, InstanceFamily, State, full_assumptions
+from .system import Instance, InstanceFamily, State
 
 __all__ = [
     "IpdrOutcome",
@@ -117,8 +115,6 @@ def relax(ctx: PdrCtx, nxt: Instance) -> tuple[int, int]:
     ctx.frames = fresh
     fs = ctx.fs
     fs.reset_frames()
-    if isinstance(fs, MultiContextSolver):
-        fs.frames = fresh
     attempts = 0
     if k_old < 2:
         return 0, 0  # no frame below the frontier to copy from
@@ -150,33 +146,11 @@ def relax(ctx: PdrCtx, nxt: Instance) -> tuple[int, int]:
 
 
 def trace_valid_in(trace: Trace, inst: Instance) -> bool:
-    """Replay a counterexample against another instance: the head must be an
-    initial state, every consecutive pair one step, and the tail a property
-    violation, each its own query on a fresh solver. A length-0 trace is
-    valid exactly when its single state is initial and violates the
-    property."""
-    sys_ = inst.system
-    s = Solver()
-    while s.nvars < sys_.nvars:
-        s.fresh_var()
-    for c in sys_.defs:
-        s.add_clause(c.lits)
-    gi = s.fresh_var()
-    for c in sys_.init:
-        s.add_clause([-gi, *c.lits])
-    gt = s.fresh_var()
-    for c in sys_.trans:
-        s.add_clause([-gt, *c.lits])
-    neg_prop = _assert_neg_prop(s, sys_.prop)
-    gamma = full_assumptions(inst)
-    cubes = [sys_.state_cube(st) for st in trace.states]
-    if not s.solve([gi, *gamma, *cubes[0].lits]).sat:
-        return False
-    for pre, post in zip(cubes, cubes[1:]):
-        primed = [sys_.prime_lit(l) for l in post]
-        if not s.solve([gt, *gamma, *pre.lits, *primed]).sat:
-            return False
-    return s.solve([neg_prop, *gamma, *cubes[-1].lits]).sat
+    """Replay a counterexample against another instance on a fresh solver:
+    the head must be an initial state, every consecutive pair one step, and
+    the tail a property violation. A length-0 trace is valid exactly when
+    its single state is initial and violates the property."""
+    return all(check_trace(inst, trace.states).values())
 
 
 # --- stats plumbing ---------------------------------------------------------------

@@ -12,7 +12,7 @@ one incremental solver context serves a whole family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .cnf import Clause, Cube, FAnd, FOr, FVar, Formula, var_of
@@ -407,66 +407,11 @@ def build_explicit(
     edges: Sequence[tuple[str, str]],
     bad_states: Sequence[str] = (),
 ) -> Instance:
-    """Build a system from an explicit edge list over bit-vector states.
-    The step relation is the Tseitin-encoded disjunction of edge cubes; the
-    property is the conjunction of the bad states' negations."""
-    n = len(var_names)
-    if n == 0:
-        raise ValueError("need at least one state variable")
-    for bits in list(init_states) + [b for e in edges for b in e] + list(bad_states):
-        if len(bits) != n or any(c not in "01" for c in bits):
-            raise ValueError(f"bad state bits {bits!r}")
-    if not init_states:
-        raise ValueError("need at least one initial state")
-    pool = VarPool()
-    xs = pool.fresh_vars(n)
-    xps = pool.fresh_vars(n)
-
-    def cube_of(bits: str, primed: bool) -> list[int]:
-        base = xps if primed else xs
-        return [v if c == "1" else -v for v, c in zip(base, bits)]
-
-    defs: list[Clause] = []
-    # initial states: cube disjunction, Tseitin when more than one
-    init_clauses: list[Clause]
-    uniq_inits = sorted(set(init_states))
-    if len(uniq_inits) == 1:
-        init_clauses = [Clause([l]) for l in cube_of(uniq_inits[0], False)]
-    else:
-        f = FOr(*[FAnd(*[FVar(l) for l in cube_of(b, False)]) for b in uniq_inits])
-        root, tcl = tseitin_clauses(pool, f)
-        defs.extend(tcl)
-        init_clauses = [Clause([root])]
-    # step relation: disjunction of edge cubes over current and next vars
-    uniq_edges = sorted(set(edges))
-    if not uniq_edges:
-        # empty relation; a contradictory pair of units would poison the
-        # solver's level 0, so falsity goes through a defined-false variable
-        fv = pool.fresh_var()
-        defs.append(Clause([-fv]))
-        trans_clauses = [Clause([fv])]
-    else:
-        disjuncts = [
-            FAnd(*[FVar(l) for l in cube_of(s, False) + cube_of(t, True)])
-            for s, t in uniq_edges
-        ]
-        root, tcl = tseitin_clauses(pool, FOr(*disjuncts))
-        defs.extend(tcl)
-        trans_clauses = [Clause([root])]
-    prop_clauses = [
-        Clause([-l for l in cube_of(b, False)]) for b in sorted(set(bad_states))
-    ]
-    system = TransitionSystem(
-        var_names=var_names,
-        state_vars=xs,
-        primed_vars=xps,
-        nvars=pool.n,
-        init=init_clauses,
-        trans=trans_clauses,
-        prop=prop_clauses,
-        defs=defs,
-    )
-    return Instance(system=system, label="explicit", assumptions=())
+    """Build a system from an explicit edge list over bit-vector states: the
+    one instance of a family with no guarded groups. Duplicate edges are
+    allowed. The property is the conjunction of the bad states' negations."""
+    fam = build_explicit_family(var_names, init_states, list(dict.fromkeys(edges)), [], bad_states)
+    return replace(fam.instances[0], label="explicit", param=None)
 
 
 def build_explicit_family(

@@ -5,7 +5,7 @@ published circuit numbers is informative and never gates."""
 import random
 import time
 
-from ipdr.cli import _check_invariant
+from ipdr.certify import check_invariant
 from ipdr.engine import (
     BudgetExceeded,
     Invariant,
@@ -140,7 +140,7 @@ def test_verdicts_match_explicit_oracle_on_500_random_systems():
             assert trace_valid_in(verdict, inst), f"case {i}: trace replay"
             traces += 1
         else:
-            checks = _check_invariant(inst, list(verdict.clauses))
+            checks = check_invariant(inst, verdict.clauses)
             assert all(checks.values()), f"case {i}: {checks}"
             invariants += 1
     dt = time.perf_counter() - t0
@@ -305,9 +305,12 @@ def test_peterson_safe_for_two_and_three_processes():
     assert all(r.verdict_kind == "invariant" for r in out2.per_instance_stats)
     for bound in range(0, 4):
         assert peterson_safe(2, bound), f"product oracle disagrees at {bound}"
-    out3 = ipdr_relax(encode_peterson(3, [0, 1, 2]), PdrConfig(seed=0))
+    fam3 = encode_peterson(3, [0, 1, 2])
+    out3 = ipdr_relax(fam3, PdrConfig(seed=0))
     assert isinstance(out3.verdict, Invariant)
     assert [r.verdict_kind for r in out3.per_instance_stats] == ["invariant"] * 3
+    checks = check_invariant(fam3.instances[-1], out3.verdict.clauses)
+    assert all(checks.values()), checks
     print("\nn=2 safe through bound 10 (oracle-checked to 3);"
           " n=3 safe through bound 2")
 

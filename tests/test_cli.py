@@ -301,6 +301,46 @@ def test_validate_catches_forged_final_state(capsys, tmp_path):
     assert res["checks"]["trace-final"] is False
 
 
+TWO_INIT_SYS = """\
+var a
+var b
+init 00
+init 01
+edge 01 11
+bad 11
+"""
+
+
+def test_validate_trace_from_one_of_several_initial_states(capsys, tmp_path):
+    # several init lines make `init` a Tseitin root over auxiliary
+    # variables; the head must be checked against it by SAT, not by
+    # evaluating the clauses over the state bits alone
+    f = tmp_path / "two_init.sys"
+    f.write_text(TWO_INIT_SYS)
+    code, doc, out = _emit_verdict(capsys, tmp_path, "solve", str(f))
+    assert code == 1
+    assert doc["trace"]["states"] == ["01", "11"]
+    code, res = run(capsys, "validate", str(out))
+    assert code == 0
+    assert res["valid"] is True
+
+
+@pytest.mark.parametrize("states", [["011", "1101"], ["0", "11"]])
+def test_validate_rejects_states_of_the_wrong_width(capsys, tmp_path, states):
+    f = tmp_path / "one_init.sys"
+    f.write_text(TWO_INIT_SYS.replace("init 00\n", ""))
+    _, _, out = _emit_verdict(capsys, tmp_path, "solve", str(f))
+    doc = json.loads(out.read_text())
+    assert doc["trace"]["states"] == ["01", "11"]
+    doc["trace"]["states"] = states
+    out.write_text(json.dumps(doc))
+    code = main(["validate", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "bits, expected 2" in captured.err
+
+
 def test_validate_malformed_json(capsys, tmp_path):
     p = tmp_path / "junk.json"
     p.write_text("{not json")

@@ -73,21 +73,19 @@ def assert_trace_valid(trace, inits, edges, bads):
 CHAIN_EDGES = [("00", "01"), ("01", "10")]
 
 
-@pytest.mark.parametrize("multi", [False, True])
-def test_safe_chain_yields_invariant(multi):
+def test_safe_chain_yields_invariant():
     inits, bads = ["00"], ["11"]
     inst = build_explicit(["x1", "x2"], inits, CHAIN_EDGES, bads)
-    ctx = PdrCtx(inst, PdrConfig(multi_context=multi))
+    ctx = PdrCtx(inst, PdrConfig())
     v = pdr_main(ctx)
     assert isinstance(v, Invariant)
     assert_invariant_valid(inst, v, inits, CHAIN_EDGES, bads)
 
 
-@pytest.mark.parametrize("multi", [False, True])
-def test_reachable_end_of_chain_yields_exact_trace(multi):
+def test_reachable_end_of_chain_yields_exact_trace():
     # 10 is reachable in two steps; the chain is deterministic so the
     # counterexample is forced
-    ctx, v = run_pdr(["x1", "x2"], ["00"], CHAIN_EDGES, ["10"], multi_context=multi)
+    ctx, v = run_pdr(["x1", "x2"], ["00"], CHAIN_EDGES, ["10"])
     assert isinstance(v, Trace)
     assert [s.bits for s in v.states] == ["00", "01", "10"]
     assert len(v) == 2
@@ -172,11 +170,10 @@ def test_expired_deadline_raises():
         run_pdr(["x1", "x2"], ["00"], edges, ["10", "11"], timeout_s=0.0)
 
 
-@pytest.mark.parametrize("multi", [False, True])
-def test_debug_invariant_sweep_clean(multi):
+def test_debug_invariant_sweep_clean():
     for bads in (["11"], ["10"], []):
         inst = build_explicit(["x1", "x2"], ["00"], CHAIN_EDGES, bads)
-        ctx = PdrCtx(inst, PdrConfig(debug_invariants=True, multi_context=multi))
+        ctx = PdrCtx(inst, PdrConfig(debug_invariants=True))
         pdr_main(ctx)  # must not raise InvariantViolation
 
 
@@ -265,16 +262,3 @@ def test_verdict_matches_explicit_oracle(params):
     else:
         assert not ok
         assert_trace_valid(v, inits, edges, bads)
-
-
-@settings(max_examples=25, deadline=None)
-@given(system_params())
-def test_context_modes_agree(params):
-    n, inits, edges, bads = params
-    names = [f"v{i}" for i in range(n)]
-    verdicts = []
-    for multi in (False, True):
-        inst = build_explicit(names, inits, edges, bads)
-        ctx = PdrCtx(inst, PdrConfig(multi_context=multi))
-        verdicts.append(type(pdr_main(ctx)).__name__)
-    assert verdicts[0] == verdicts[1]

@@ -421,9 +421,9 @@ def random_family(draw, direction):
 
 
 @settings(max_examples=20, deadline=None)
-@given(random_family("constraining"), st.booleans())
-def test_random_constrain_matches_naive_and_oracle(fam, multi):
-    cfg = PdrConfig(debug_invariants=True, multi_context=multi)
+@given(random_family("constraining"))
+def test_random_constrain_matches_naive_and_oracle(fam):
+    cfg = PdrConfig(debug_invariants=True)
     inc = ipdr_constrain(fam, cfg)
     ref = naive_driver(fam, PdrConfig())
     assert verdict_kinds(inc) == verdict_kinds(ref)
@@ -434,9 +434,9 @@ def test_random_constrain_matches_naive_and_oracle(fam, multi):
 
 
 @settings(max_examples=20, deadline=None)
-@given(random_family("relaxing"), st.booleans())
-def test_random_relax_matches_naive_and_oracle(fam, multi):
-    cfg = PdrConfig(debug_invariants=True, multi_context=multi)
+@given(random_family("relaxing"))
+def test_random_relax_matches_naive_and_oracle(fam):
+    cfg = PdrConfig(debug_invariants=True)
     inc = ipdr_relax(fam, cfg)
     ref = naive_driver(fam, PdrConfig())
     assert verdict_kinds(inc) == verdict_kinds(ref)
