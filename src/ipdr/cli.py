@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .certify import check_invariant, check_trace
@@ -46,25 +46,10 @@ STRATEGIES = ("naive", "constrain", "relax", "binary")
 
 @dataclass
 class RunConfig:
-    strategy: str = "relax"
-    seed: int = 0
-    timeout_s: float | None = None
-    max_k: int | None = None
-    ctg_depth: int = 1
-    max_ctgs: int = 5
-    debug_invariants: bool = False
+    strategy: str
+    pdr: PdrConfig
     stats_path: str | None = None
     output_path: str | None = None
-
-    def pdr(self) -> PdrConfig:
-        return PdrConfig(
-            seed=self.seed,
-            max_k=self.max_k,
-            timeout_s=self.timeout_s,
-            ctg_depth=self.ctg_depth,
-            max_ctgs=self.max_ctgs,
-            debug_invariants=self.debug_invariants,
-        )
 
 
 def _config(args, default_strategy: str) -> RunConfig:
@@ -73,12 +58,14 @@ def _config(args, default_strategy: str) -> RunConfig:
         timeout = float(os.environ["IPDR_TIMEOUT_S"])
     return RunConfig(
         strategy=args.strategy or default_strategy,
-        seed=args.seed,
-        timeout_s=timeout,
-        max_k=args.max_k,
-        ctg_depth=args.ctg_depth,
-        max_ctgs=args.max_ctgs,
-        debug_invariants=args.debug_invariants,
+        pdr=PdrConfig(
+            seed=args.seed,
+            max_k=args.max_k,
+            timeout_s=timeout,
+            ctg_depth=args.ctg_depth,
+            max_ctgs=args.max_ctgs,
+            debug_invariants=args.debug_invariants,
+        ),
         stats_path=args.stats,
         output_path=args.output,
     )
@@ -110,6 +97,21 @@ def _emit_stats(rows, cfg: RunConfig, problem: str) -> list[dict]:
     return [r.as_record() for r in rows]
 
 
+def _outcome_doc(outcome: IpdrOutcome, problem: dict) -> dict:
+    """Result, problem, final instance and the invariant or trace of a sweep."""
+    holds = isinstance(outcome.verdict, Invariant)
+    doc: dict = {
+        "result": "holds" if holds else "violated",
+        "problem": problem,
+        "instance": outcome.final_parameter,
+    }
+    if holds:
+        doc["invariant"] = _invariant_doc(outcome.verdict)
+    else:
+        doc["trace"] = _trace_doc(outcome.verdict)
+    return doc
+
+
 def _oriented(family: InstanceFamily, direction: str) -> InstanceFamily:
     if family.direction == direction:
         return family
@@ -120,11 +122,11 @@ def _oriented(family: InstanceFamily, direction: str) -> InstanceFamily:
 
 def _sweep(family: InstanceFamily, cfg: RunConfig) -> IpdrOutcome:
     if cfg.strategy == "relax":
-        return ipdr_relax(_oriented(family, "relaxing"), cfg.pdr())
+        return ipdr_relax(_oriented(family, "relaxing"), cfg.pdr)
     if cfg.strategy == "constrain":
-        return ipdr_constrain(_oriented(family, "constraining"), cfg.pdr())
+        return ipdr_constrain(_oriented(family, "constraining"), cfg.pdr)
     if cfg.strategy == "naive":
-        return naive_driver(family, cfg.pdr())
+        return naive_driver(family, cfg.pdr)
     raise UsageError(f"strategy {cfg.strategy!r} does not produce a sweep verdict")
 
 
@@ -155,15 +157,7 @@ def cmd_solve(args) -> int:
     except (BudgetExceeded, SolverTimeout) as e:
         _emit({"result": "unknown", "problem": problem, "error": str(e)}, cfg)
         return 2
-    doc: dict = {
-        "result": "holds" if isinstance(outcome.verdict, Invariant) else "violated",
-        "problem": problem,
-        "instance": outcome.final_parameter,
-    }
-    if isinstance(outcome.verdict, Invariant):
-        doc["invariant"] = _invariant_doc(outcome.verdict)
-    else:
-        doc["trace"] = _trace_doc(outcome.verdict)
+    doc = _outcome_doc(outcome, problem)
     doc["stats"] = _emit_stats(outcome.per_instance_stats, cfg, path.stem)
     _emit(doc, cfg)
     return 0 if doc["result"] == "holds" else 1
@@ -214,7 +208,7 @@ def cmd_pebble(args) -> int:
     trace_label = invariant_label = None
     try:
         if cfg.strategy == "binary":
-            res = ipdr_binary(encode_pebbling(dag, budgets), cfg.pdr())
+            res = ipdr_binary(encode_pebbling(dag, budgets), cfg.pdr)
             rows = list(res.per_instance_stats)
             optimum = res.optimum
             trace, invariant = res.witness_trace, res.impossibility_invariant
@@ -299,15 +293,8 @@ def cmd_peterson(args) -> int:
     except (BudgetExceeded, SolverTimeout) as e:
         _emit({"result": "unknown", "problem": problem, "error": str(e)}, cfg)
         return 2
-    doc: dict = {
-        "result": "holds" if isinstance(outcome.verdict, Invariant) else "violated",
-        "problem": problem,
-        "instance": outcome.final_parameter,
-    }
-    if isinstance(outcome.verdict, Invariant):
-        doc["invariant"] = _invariant_doc(outcome.verdict)
-    else:
-        doc["trace"] = _trace_doc(outcome.verdict)
+    doc = _outcome_doc(outcome, problem)
+    if isinstance(outcome.verdict, Trace):
         doc["interleaving"] = [
             describe_state(family.system, s) for s in outcome.verdict.states
         ]
@@ -408,23 +395,13 @@ def cmd_bench(args) -> int:
     for path in inputs:
         for strategy in strategies:
             for seed in seeds:
-                cell_cfg = RunConfig(
-                    strategy=strategy,
-                    seed=seed,
-                    timeout_s=cfg.timeout_s,
-                    max_k=cfg.max_k,
-                    ctg_depth=cfg.ctg_depth,
-                    max_ctgs=cfg.max_ctgs,
-                    debug_invariants=cfg.debug_invariants,
-                )
+                cell = RunConfig(strategy, replace(cfg.pdr, seed=seed))
                 try:
                     family = _bench_family(path, strategy)
                     if strategy == "binary":
-                        got = list(
-                            ipdr_binary(family, cell_cfg.pdr()).per_instance_stats
-                        )
+                        got = list(ipdr_binary(family, cell.pdr).per_instance_stats)
                     else:
-                        got = list(_sweep(family, cell_cfg).per_instance_stats)
+                        got = list(_sweep(family, cell).per_instance_stats)
                 except Exception as e:  # record the cell, keep the matrix going
                     failures += 1
                     print(f"cell failed: {path.name} {strategy} seed={seed}: {e}",

@@ -78,9 +78,6 @@ class Clause:
     def variables(self) -> tuple[int, ...]:
         return tuple(var_of(l) for l in self.lits)
 
-    def satisfied_by(self, assignment: dict[int, bool]) -> bool:
-        return any(assignment[var_of(l)] == is_positive(l) for l in self.lits)
-
 
 class Cube:
     """Conjunction of literals; no two literals share a variable."""
@@ -111,20 +108,11 @@ class Cube:
     def negate(self) -> Clause:
         return Clause(-l for l in self.lits)
 
-    def contains(self, other: "Cube") -> bool:
-        """other is a subcube of self (implies self would be backwards:
-        a subcube has FEWER literals and denotes a LARGER state set)."""
-        mine = set(self.lits)
-        return all(l in mine for l in other.lits)
-
     def variables(self) -> tuple[int, ...]:
         return tuple(var_of(l) for l in self.lits)
 
     def as_assignment(self) -> dict[int, bool]:
         return {var_of(l): is_positive(l) for l in self.lits}
-
-    def satisfied_by(self, assignment: dict[int, bool]) -> bool:
-        return all(assignment[var_of(l)] == is_positive(l) for l in self.lits)
 
 
 def clause_blocks(clause: Clause, cube: Cube) -> bool:

@@ -8,6 +8,12 @@ each stored clause is re-established from scratch against the new semantics
 before being copied into a fresh frame sequence. The linear drivers sweep a
 family in order, the binary driver keeps one reusable context per verdict
 side and probes midpoints from the nearer side.
+
+All four drivers share one per-instance step, `_visit`: start a fresh
+engine or repair the given context, check it when `debug_invariants` is
+on, run PDR and record the stats row. It calls the engine and repair
+entry points through this module's globals, so a wrapper set on the
+module sees every call.
 """
 
 from __future__ import annotations
@@ -153,76 +159,88 @@ def trace_valid_in(trace: Trace, inst: Instance) -> bool:
     return all(check_trace(inst, trace.states).values())
 
 
-# --- stats plumbing ---------------------------------------------------------------
+# --- the per-instance step -------------------------------------------------------
 
 
-@dataclass
-class _Snap:
-    cti: int
-    obligations: int
-    calls: int
-    time: float
-
-
-def _snap(ctx: PdrCtx) -> _Snap:
-    return _Snap(ctx.counters.cti, ctx.counters.obligations, ctx.fs.sat_calls, ctx.fs.sat_time_s)
-
-
-def _row(
-    ctx: PdrCtx,
-    before: _Snap,
+def _visit(
+    ctx: PdrCtx | None,
     inst: Instance,
-    verdict: Verdict,
+    cfg: PdrConfig,
     strategy: str,
-    seed: int,
-    prep_s: float,
-    attempts: int,
-    copied: int,
-    total_s: float,
-) -> RunStats:
-    return RunStats(
+    repair: str,
+    t0: float | None = None,
+) -> tuple[PdrCtx | None, Verdict, RunStats]:
+    """Run one instance and return (context, verdict, stats row).
+
+    With no context a fresh engine is started; otherwise the context is
+    repaired for `inst` by `repair`, "relax" or "constrain". A relaxed
+    instance is first rebound and its initial states checked against the
+    property; a violation is returned as a length-0 trace with no context,
+    since the stale frames were never repaired and must not be reused. The
+    row counts the engine work from before the repair (after a fresh
+    start) and the preparation time from `t0`, which defaults to now."""
+    t0 = time.perf_counter() if t0 is None else t0
+    attempts = copied = 0
+    verdict: Verdict | None = None
+    fresh = ctx is None
+    if fresh:
+        ctx = pdr_init(inst, cfg)
+    before = (ctx.counters.cti, ctx.counters.obligations, ctx.fs.sat_calls, ctx.fs.sat_time_s)
+    prep = 0.0
+    if not fresh:
+        if repair == "relax":
+            ctx.rebind(inst)
+            r = ctx.fs.sat_init_bad()
+            if r.sat:
+                verdict = Trace((State.from_cube(ctx.system, r.cube(ctx.system.state_vars)),))
+            else:
+                attempts, copied = relax(ctx, inst)
+        else:
+            constrain(ctx, inst)
+        if verdict is None and cfg.debug_invariants:
+            bad = validate_ctx(ctx, frontier_clear=repair == "relax")
+            if bad:
+                raise InvariantViolation("; ".join(bad))
+        prep = time.perf_counter() - t0
+    kept: PdrCtx | None = None
+    if verdict is None:
+        verdict, kept = pdr_main(ctx), ctx
+    row = RunStats(
         instance_label=inst.label,
         verdict_kind="invariant" if isinstance(verdict, Invariant) else "trace",
-        cti_count=ctx.counters.cti - before.cti,
-        obligations_handled=ctx.counters.obligations - before.obligations,
-        sat_calls=ctx.fs.sat_calls - before.calls,
-        sat_time=ctx.fs.sat_time_s - before.time,
+        cti_count=ctx.counters.cti - before[0],
+        obligations_handled=ctx.counters.obligations - before[1],
+        sat_calls=ctx.fs.sat_calls - before[2],
+        sat_time=ctx.fs.sat_time_s - before[3],
         copy_attempts=attempts,
         copied_clauses=copied,
-        incr_prep_time=prep_s,
-        total_time=total_s,
+        incr_prep_time=prep,
+        total_time=time.perf_counter() - t0,
         strategy=strategy,
-        seed=seed,
+        seed=cfg.seed,
     )
-
-
-def _check(ctx: PdrCtx, frontier_clear: bool) -> None:
-    bad = validate_ctx(ctx, frontier_clear=frontier_clear)
-    if bad:
-        raise InvariantViolation("; ".join(bad))
+    return kept, verdict, row
 
 
 # --- linear drivers ---------------------------------------------------------------
 
 
-def ipdr_constrain(family: InstanceFamily, config: PdrConfig | None = None) -> IpdrOutcome:
-    """Sweep a constraining family with one reused context, stopping at the
-    first invariant. After a trace verdict the trace is replayed against each
-    later instance first and every instance where it stays valid is skipped
-    outright; the skipped instance's row keeps the trace verdict with zeroed
-    engine counters and the replay cost under preparation time."""
-    if family.direction != "constraining":
-        raise UsageError("ipdr_constrain needs a constraining family")
-    cfg = config or PdrConfig()
+def _sweep(family: InstanceFamily, cfg: PdrConfig, repair: str) -> IpdrOutcome:
+    """Visit the family in order, reusing one context by `repair` (a fresh
+    engine per instance when it is empty), and stop at the first invariant
+    of a constraining family or the first trace of a relaxing one. A
+    constraining sweep replays its last trace against each later instance
+    first and skips every instance where it stays valid: the skipped row
+    keeps the trace verdict with zeroed engine counters and the replay cost
+    under preparation time."""
+    stop = Invariant if family.direction == "constraining" else Trace
     rows: list[RunStats] = []
     ctx: PdrCtx | None = None
     verdict: Verdict | None = None
-    trace: Trace | None = None
-    label = ""
+    last_trace: Trace | None = None
     for inst in family.instances:
-        label = inst.label
         t0 = time.perf_counter()
-        if trace is not None and trace_valid_in(trace, inst):
+        if repair == "constrain" and last_trace is not None and trace_valid_in(last_trace, inst):
             dt = time.perf_counter() - t0
             rows.append(
                 RunStats(
@@ -234,107 +252,43 @@ def ipdr_constrain(family: InstanceFamily, config: PdrConfig | None = None) -> I
                     seed=cfg.seed,
                 )
             )
-            verdict = trace
+            verdict = last_trace
             continue
-        if ctx is None:
-            ctx = pdr_init(inst, cfg)
-            before = _snap(ctx)
-            prep = 0.0
-        else:
-            before = _snap(ctx)
-            constrain(ctx, inst)
-            if cfg.debug_invariants:
-                _check(ctx, frontier_clear=False)
-            prep = time.perf_counter() - t0
-        verdict = pdr_main(ctx)
-        total = time.perf_counter() - t0
-        rows.append(_row(ctx, before, inst, verdict, "constrain", cfg.seed, prep, 0, 0, total))
-        if isinstance(verdict, Invariant):
-            return IpdrOutcome(verdict, inst.label, tuple(rows), trace)
-        trace = verdict
+        ctx, verdict, row = _visit(ctx, inst, cfg, repair or "naive", repair, t0)
+        rows.append(row)
+        if not repair:
+            ctx = None  # drop the naive engine before the next one starts
+        if isinstance(verdict, Trace):
+            last_trace = verdict
+        if isinstance(verdict, stop):
+            break
     assert verdict is not None
-    return IpdrOutcome(verdict, label, tuple(rows), trace)
+    return IpdrOutcome(verdict, inst.label, tuple(rows), last_trace)
+
+
+def ipdr_constrain(family: InstanceFamily, config: PdrConfig | None = None) -> IpdrOutcome:
+    """Sweep a constraining family with one reused context, stopping at the
+    first invariant and skipping instances where the last trace replays."""
+    if family.direction != "constraining":
+        raise UsageError("ipdr_constrain needs a constraining family")
+    return _sweep(family, config or PdrConfig(), "constrain")
 
 
 def ipdr_relax(family: InstanceFamily, config: PdrConfig | None = None) -> IpdrOutcome:
     """Sweep a relaxing family with one reused context, stopping at the
-    first trace. Before each repair the relaxed instance's initial states
-    are checked against the property directly; a violation is returned as a
-    length-0 trace without touching the frames."""
+    first trace. A relaxed instance whose initial states already violate
+    the property yields a length-0 trace without touching the frames."""
     if family.direction != "relaxing":
         raise UsageError("ipdr_relax needs a relaxing family")
-    cfg = config or PdrConfig()
-    rows: list[RunStats] = []
-    ctx: PdrCtx | None = None
-    verdict: Verdict | None = None
-    label = ""
-    for inst in family.instances:
-        label = inst.label
-        t0 = time.perf_counter()
-        attempts = copied = 0
-        if ctx is None:
-            ctx = pdr_init(inst, cfg)
-            before = _snap(ctx)
-            prep = 0.0
-        else:
-            before = _snap(ctx)
-            ctx.rebind(inst)
-            r = ctx.fs.sat_init_bad()
-            if r.sat:
-                state = State.from_cube(ctx.system, r.cube(ctx.system.state_vars))
-                verdict = Trace((state,))
-                dt = time.perf_counter() - t0
-                rows.append(_row(ctx, before, inst, verdict, "relax", cfg.seed, dt, 0, 0, dt))
-                return IpdrOutcome(verdict, inst.label, tuple(rows), verdict)
-            attempts, copied = relax(ctx, inst)
-            if cfg.debug_invariants:
-                _check(ctx, frontier_clear=True)
-            prep = time.perf_counter() - t0
-        verdict = pdr_main(ctx)
-        total = time.perf_counter() - t0
-        rows.append(
-            _row(ctx, before, inst, verdict, "relax", cfg.seed, prep, attempts, copied, total)
-        )
-        if isinstance(verdict, Trace):
-            return IpdrOutcome(verdict, inst.label, tuple(rows), verdict)
-    assert verdict is not None
-    return IpdrOutcome(verdict, label, tuple(rows))
+    return _sweep(family, config or PdrConfig(), "relax")
 
 
-def naive_driver(
-    family: InstanceFamily,
-    config: PdrConfig | None = None,
-    stop_rule: str | None = None,
-) -> IpdrOutcome:
+def naive_driver(family: InstanceFamily, config: PdrConfig | None = None) -> IpdrOutcome:
     """Reference sweep: a fresh engine per instance, same order and the same
     stopping rule as the incremental driver it is compared against (first
     invariant for a constraining family, first trace for a relaxing one),
     and no trace replay shortcut."""
-    rule = stop_rule or (
-        "invariant" if family.direction == "constraining" else "trace"
-    )
-    if rule not in ("invariant", "trace"):
-        raise UsageError(f"unknown stop rule {rule!r}")
-    cfg = config or PdrConfig()
-    rows: list[RunStats] = []
-    verdict: Verdict | None = None
-    trace: Trace | None = None
-    label = ""
-    for inst in family.instances:
-        label = inst.label
-        t0 = time.perf_counter()
-        ctx = pdr_init(inst, cfg)
-        before = _snap(ctx)
-        verdict = pdr_main(ctx)
-        total = time.perf_counter() - t0
-        rows.append(_row(ctx, before, inst, verdict, "naive", cfg.seed, 0.0, 0, 0, total))
-        if isinstance(verdict, Trace):
-            trace = verdict
-        kind = "invariant" if isinstance(verdict, Invariant) else "trace"
-        if kind == rule:
-            return IpdrOutcome(verdict, inst.label, tuple(rows), trace)
-    assert verdict is not None
-    return IpdrOutcome(verdict, label, tuple(rows), trace)
+    return _sweep(family, config or PdrConfig(), "")
 
 
 # --- binary search ----------------------------------------------------------------
@@ -367,9 +321,8 @@ def ipdr_binary(family: InstanceFamily, config: PdrConfig | None = None) -> Opti
     def probe(i: int) -> Verdict:
         nonlocal inv_side, tr_side
         inst = insts[i]
-        t0 = time.perf_counter()
-        attempts = copied = 0
         ctx: PdrCtx | None = None
+        repair = ""
         lower = inv_side is not None and inv_side[0] < i
         upper = tr_side is not None and tr_side[0] > i
         if lower and upper:
@@ -380,46 +333,17 @@ def ipdr_binary(family: InstanceFamily, config: PdrConfig | None = None) -> Opti
             else:
                 upper = False
         if lower:
-            _, ctx = inv_side
-            inv_side = None
-            before = _snap(ctx)
-            ctx.rebind(inst)
-            r = ctx.fs.sat_init_bad()
-            if r.sat:
-                # the relaxed instance is violated at depth 0; the stale
-                # frames were never repaired, so the context is dropped
-                state = State.from_cube(ctx.system, r.cube(ctx.system.state_vars))
-                verdict: Verdict = Trace((state,))
-                dt = time.perf_counter() - t0
-                rows.append(_row(ctx, before, inst, verdict, "binary", cfg.seed, dt, 0, 0, dt))
-                verdicts[i] = verdict
-                return verdict
-            attempts, copied = relax(ctx, inst)
-            if cfg.debug_invariants:
-                _check(ctx, frontier_clear=True)
-            prep = time.perf_counter() - t0
+            (_, ctx), inv_side, repair = inv_side, None, "relax"
         elif upper:
-            _, ctx = tr_side
-            tr_side = None
-            before = _snap(ctx)
-            constrain(ctx, inst)
-            if cfg.debug_invariants:
-                _check(ctx, frontier_clear=False)
-            prep = time.perf_counter() - t0
-        else:
-            ctx = pdr_init(inst, cfg)
-            before = _snap(ctx)
-            prep = 0.0
-        verdict = pdr_main(ctx)
-        total = time.perf_counter() - t0
-        rows.append(
-            _row(ctx, before, inst, verdict, "binary", cfg.seed, prep, attempts, copied, total)
-        )
+            (_, ctx), tr_side, repair = tr_side, None, "constrain"
+        ctx, verdict, row = _visit(ctx, inst, cfg, "binary", repair)
+        rows.append(row)
         verdicts[i] = verdict
-        if isinstance(verdict, Invariant):
-            inv_side = (i, ctx)
-        else:
-            tr_side = (i, ctx)
+        if ctx is not None:
+            if isinstance(verdict, Invariant):
+                inv_side = (i, ctx)
+            else:
+                tr_side = (i, ctx)
         return verdict
 
     hi = len(insts) - 1

@@ -1,4 +1,4 @@
-"""Per-instance run statistics and their CSV/JSON forms.
+"""Per-instance run statistics and their CSV form.
 
 Counter columns are exact and deterministic for a fixed seed; the *_s
 columns are wall-clock readings from the monotonic timer (microsecond
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import statistics
 from dataclasses import dataclass
 
@@ -43,9 +42,6 @@ METRIC_COLUMNS = (
     "incr_prep_s",
     "total_s",
 )
-
-COUNTER_COLUMNS = ("cti_count", "obligations", "sat_calls", "copy_attempts", "copied")
-
 
 @dataclass
 class RunStats:
@@ -129,19 +125,6 @@ def parse_csv(text: str) -> list[RunStats]:
     if reader.fieldnames is not None and tuple(reader.fieldnames) != CSV_COLUMNS:
         raise ValueError(f"unexpected stats columns: {reader.fieldnames}")
     return [_from_record(rec) for rec in reader]
-
-
-def emit_json(rows: list[RunStats]) -> str:
-    return json.dumps([r.as_record() for r in rows], indent=2)
-
-
-def parse_json(text: str) -> list[RunStats]:
-    data = json.loads(text)
-    return [_from_record(rec) for rec in data]
-
-
-def stats_record(rows: list[RunStats]) -> list[dict]:
-    return [r.as_record() for r in rows]
 
 
 def aggregate(rows: list[RunStats]) -> list[dict]:

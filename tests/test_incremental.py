@@ -74,6 +74,31 @@ def deep_family():
     )
 
 
+def two_paths_family():
+    """Constraining family with a different counterexample per unsafe
+    instance: group 2 adds a one-step path to the bad state, group 1 a
+    two-step one, so the trace of instance 2 does not replay in 1."""
+    return build_explicit_family(
+        ["a", "b"],
+        ["00"],
+        [],
+        [[("00", "01"), ("01", "11")], [("00", "11")]],
+        ["11"],
+        direction="constraining",
+    )
+
+
+def all_safe_family():
+    return build_explicit_family(
+        ["a", "b"],
+        ["00"],
+        [("00", "01")],
+        [[("01", "10")], [("10", "01")]],
+        ["11"],
+        direction="relaxing",
+    )
+
+
 def guarded_init_family(levels=2):
     """Relaxation that widens the initial states: the guard admits x=1,
     which itself violates the property."""
@@ -238,13 +263,34 @@ def test_relax_driver_reports_initial_violation_without_repair():
     assert row.copy_attempts == 0 and row.cti_count == 0
 
 
+@pytest.mark.parametrize(
+    "driver, make, expect",
+    [
+        (ipdr_constrain, two_paths_family, "previous"),
+        (naive_driver, two_paths_family, "previous"),
+        (ipdr_relax, lambda: chain_family("relaxing"), "verdict"),
+        (ipdr_relax, all_safe_family, None),
+    ],
+    ids=["constrain-ends-on-invariant", "naive-constraining", "relax-ends-on-trace",
+         "relax-runs-out"],
+)
+def test_last_trace_is_the_most_recent_counterexample(driver, make, expect):
+    fam = make()
+    out = driver(fam, DEBUG)
+    if expect is None:
+        assert isinstance(out.verdict, Invariant) and out.last_trace is None
+    elif expect == "verdict":
+        assert isinstance(out.verdict, Trace) and out.last_trace is out.verdict
+    else:  # the two-step trace of instance 1, not the one-step trace of 2
+        assert verdict_kinds(out) == [("2", "trace"), ("1", "trace"), ("0", "invariant")]
+        assert [s.bits for s in out.last_trace.states] == ["00", "01", "11"]
+
+
 def test_driver_direction_is_checked():
     with pytest.raises(UsageError):
         ipdr_constrain(chain_family("relaxing"))
     with pytest.raises(UsageError):
         ipdr_relax(chain_family("constraining"))
-    with pytest.raises(UsageError):
-        naive_driver(chain_family("relaxing"), stop_rule="sideways")
 
 
 def test_naive_matches_constrain_driver_rows():
@@ -304,15 +350,7 @@ def test_binary_accepts_constraining_order():
 
 
 def test_binary_all_safe_reports_no_optimum():
-    fam = build_explicit_family(
-        ["a", "b"],
-        ["00"],
-        [("00", "01")],
-        [[("01", "10")], [("10", "01")]],
-        ["11"],
-        direction="relaxing",
-    )
-    res = ipdr_binary(fam, DEBUG)
+    res = ipdr_binary(all_safe_family(), DEBUG)
     assert res.optimum is None and res.witness_trace is None
     assert isinstance(res.impossibility_invariant, Invariant)
     assert len(res.per_instance_stats) == 1  # only the most relaxed probe
@@ -343,6 +381,28 @@ def test_binary_probes_initial_violation_at_midpoint():
     assert isinstance(res.impossibility_invariant, Invariant)
     probed = [r.instance_label for r in res.per_instance_stats]
     assert probed == ["2", "0", "1"]
+
+
+def test_binary_drops_the_context_of_an_initial_violation(monkeypatch):
+    """The probe at 0 constrains down from 4; the probe at 2 relaxes up
+    from 0 and answers at depth 0 without repairing the frames, so its
+    context is not cached and the probe at 1 starts a fresh engine instead
+    of constraining down from 2."""
+    import ipdr.incremental as inc
+
+    constrained = []
+    original = inc.constrain
+
+    def spy(ctx, nxt):
+        constrained.append((ctx.instance.label, nxt.label))
+        original(ctx, nxt)
+
+    monkeypatch.setattr(inc, "constrain", spy)
+    res = ipdr_binary(guarded_init_family(4), DEBUG)
+    assert [r.instance_label for r in res.per_instance_stats] == ["4", "0", "2", "1"]
+    assert res.per_instance_stats[2].cti_count == 0
+    assert constrained == [("4", "0")]
+    assert res.optimum == 1
 
 
 def test_binary_requires_parameters():
@@ -450,7 +510,7 @@ def test_random_relax_matches_naive_and_oracle(fam):
 @given(random_family("relaxing"))
 def test_random_binary_matches_linear_scan(fam):
     res = ipdr_binary(fam, PdrConfig(debug_invariants=True))
-    lin = naive_driver(fam, PdrConfig(), stop_rule="trace")
+    lin = naive_driver(fam, PdrConfig())
     if isinstance(lin.verdict, Trace):
         assert res.optimum == int(lin.final_parameter)
         assert res.witness_trace is not None

@@ -178,7 +178,7 @@ def test_budget_bounds_the_reachable_configurations():
 def test_single_output_node_pebbled_in_one_step():
     dag = Dag(("a",), (), ("a",))
     fam = encode_pebbling(dag, [1])
-    out = naive_driver(fam, DEBUG, stop_rule="trace")
+    out = naive_driver(fam, DEBUG)
     assert isinstance(out.verdict, Trace)
     assert len(out.verdict) == 1
     sched = decode_pebbling_trace(out.verdict, dag)

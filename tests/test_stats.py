@@ -1,4 +1,4 @@
-"""Stats rows: schema, formatting, round-trips, aggregation."""
+"""Stats rows: schema, formatting, the CSV round-trip, aggregation."""
 
 import math
 
@@ -8,9 +8,7 @@ from ipdr.stats import (
     aggregate,
     emit_aggregate_csv,
     emit_csv,
-    emit_json,
     parse_csv,
-    parse_json,
 )
 
 
@@ -55,12 +53,6 @@ def test_csv_floats_have_six_decimals():
 def test_copy_rate_guards_zero_attempts():
     assert sample_row(copy_attempts=0, copied_clauses=0).copy_rate == 0.0
     assert sample_row(copy_attempts=8, copied_clauses=2).copy_rate == 0.25
-
-
-def test_json_round_trip_is_identity():
-    rows = [sample_row(), sample_row(instance_label="4", verdict_kind="trace",
-                                     sat_time=1.9999999, strategy="naive")]
-    assert parse_json(emit_json(rows)) == rows
 
 
 def test_csv_round_trip_is_identity():
