@@ -8,7 +8,9 @@ after a frame repair (they are dormant until the frontier reaches them).
 
 All SAT work goes through one frame solver: a single incremental context
 serves every frame, frame clauses sit behind per-level activation literals,
-and retired clauses are never deleted, they just stop being assumed.
+and retired clauses are never retracted, they just stop being assumed. The
+solver drops those that a unit has retired (the one-shot query guards) as
+satisfied at level 0, which leaves the models of the clause set unchanged.
 """
 
 from __future__ import annotations
@@ -118,7 +120,10 @@ class SingleContextSolver(Skeleton):
     Frame clauses sit behind per-level activation literals. Temporary
     clauses (the negation of a cube in a relative-induction query) ride
     behind one-shot guard literals that are permanently falsified after the
-    query."""
+    query. The solver then drops such a clause as satisfied at level 0 (see
+    `Solver.simplify`); the models of the clause set do not change. Clauses
+    behind the activation literals of an earlier generation (`reset_frames`)
+    stay in the database, since nothing fixes those literals."""
 
     def __init__(self, system: TransitionSystem, config: PdrConfig):
         super().__init__(system, config.seed)

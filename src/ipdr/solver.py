@@ -1,13 +1,16 @@
 """Incremental CDCL SAT solver with assumptions and unsat cores.
 
-The solving discipline is monotone: clauses are permanent once added, and
-per-query constraints enter only as assumption literals. An Unsat answer
-carries a core that is a subset of the assumptions. Results are
-deterministic given the same clause set, assumptions, and seed.
+The solving discipline is monotone: no added clause is ever retracted, and
+per-query constraints enter only as assumption literals. Clauses that a
+level-0 literal satisfies are dropped from the database, which leaves the
+models of the clause set unchanged. An Unsat answer carries a core that is
+a subset of the assumptions. Results are deterministic given the same
+clause set, assumptions, and seed.
 
 Solver internals are MiniSat-shaped: two watched literals, first-UIP clause
 learning with local minimization, EVSIDS variable activity, phase saving,
-Luby restarts, and activity-based learnt-clause reduction.
+Luby restarts, activity-based learnt-clause reduction, and level-0 removal
+of satisfied clauses (`simplifyDB`).
 """
 
 from __future__ import annotations
@@ -111,6 +114,11 @@ class Solver:
         self.cla_decay = 0.999
         self._heap: list[tuple[float, int]] = []
         self.max_learnts = 4000.0
+        # level-0 simplification (MiniSat's simpDB_assigns / simpDB_props):
+        # the trail length at the last pass, and the propagation count at
+        # which the next pass is due
+        self._simp_assigns = -1
+        self._simp_due = 0
         # counters
         self.n_solves = 0
         self.n_conflicts = 0
@@ -153,9 +161,11 @@ class Solver:
         return self.assigns[lit] if lit > 0 else -self.assigns[-lit]
 
     def add_clause(self, lits: Iterable[int]) -> bool:
-        """Add a permanent clause. Returns False iff the clause set became
+        """Add a clause; it is never retracted. Returns False iff the clause set became
         unsatisfiable outright. Clauses may only be added at decision level
-        zero (between solve calls)."""
+        zero (between solve calls). A clause satisfied at level 0 is not
+        stored, and `simplify` later drops stored clauses that become so;
+        neither changes the models of the clause set."""
         assert not self.trail_lim, "clauses may only be added between solves"
         if not self.ok:
             return False
@@ -442,6 +452,54 @@ class Solver:
             del meta[id(c)]
         self.learnts = [c for c in self.learnts if id(c) not in drop]
 
+    def simplify(self) -> None:
+        """Remove every problem and learnt clause that a level-0 literal
+        satisfies, as MiniSat's `simplifyDB` does. Such a clause can never
+        become unit, conflict, or be the reason of a level>0 literal, so
+        removing it changes no trail, model, core or counter; it only stops
+        propagation from visiting it. Each removed clause leaves the two
+        watch lists it sits in; the other watchers keep their order. FALSE
+        literals stay in the surviving clauses, so the watch search visits
+        the same literals in the same order as before. A no-op when no
+        literal was fixed since the last pass.
+
+        Level-0 variables may keep a `reason` that points to a removed
+        clause. Nothing reads it: `_analyze`, its minimization and
+        `_analyze_final` only follow reasons of level>0 variables, and
+        `_reduce_db` only drops clauses that are still in `learnts`."""
+        assert not self.trail_lim, "simplify runs at decision level 0"
+        if not self.ok or len(self.trail) == self._simp_assigns:
+            return
+        true_lits = set(self.trail)  # at level 0 the trail is every assignment
+        removed: set[int] = set()
+        dirty: set[int] = set()
+
+        def keep(db: list[list[int]]) -> list[list[int]]:
+            kept = []
+            for c in db:
+                if true_lits.isdisjoint(c):
+                    kept.append(c)
+                else:
+                    removed.add(id(c))
+                    dirty.add(self._lit_idx(c[0]))
+                    dirty.add(self._lit_idx(c[1]))
+            return kept
+
+        self.clauses = keep(self.clauses)
+        learnts = keep(self.learnts)
+        if len(learnts) < len(self.learnts):
+            meta = self._learnt_meta
+            for c in self.learnts:
+                if id(c) in removed:
+                    del meta[id(c)]
+            self.learnts = learnts
+        watches = self.watches
+        for i in dirty:
+            watches[i] = [c for c in watches[i] if id(c) not in removed]
+        self._simp_assigns = len(self.trail)
+        db_lits = sum(map(len, self.clauses)) + sum(map(len, self.learnts))
+        self._simp_due = self.n_propagations + db_lits
+
     # --- main search -----------------------------------------------------------
 
     def solve(
@@ -468,6 +526,10 @@ class Solver:
         if confl is not None:
             self.ok = False
             return SatResult(False, None, frozenset())
+        # MiniSat's budget: simplify again once the propagations since the
+        # last pass reach the literal count of the clause database
+        if self.n_propagations >= self._simp_due:
+            self.simplify()
         heap = self._heap
         conflicts_here = 0
         decisions_here = 0

@@ -1,8 +1,11 @@
 """Incremental drivers against the naive baseline and the explicit oracle."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ipdr.certify
 from ipdr.cnf import Clause
 from ipdr.engine import (
     Invariant,
@@ -22,6 +25,9 @@ from ipdr.incremental import (
     relax,
     trace_valid_in,
 )
+from ipdr.pebbling import encode_pebbling, load_dag
+from ipdr.peterson import encode_peterson
+from ipdr.solver import Solver
 from ipdr.system import (
     Instance,
     InstanceFamily,
@@ -520,3 +526,41 @@ def test_random_binary_matches_linear_scan(fam):
             assert res.impossibility_invariant is None
     else:
         assert res.optimum is None
+
+
+class NoSimplify(Solver):
+    """The same solver without level-0 clause removal, as a reference."""
+
+    def simplify(self) -> None:
+        pass
+
+
+def test_level_0_simplification_leaves_the_sweeps_unchanged(monkeypatch):
+    dropped = []
+
+    class Counting(Solver):
+        def simplify(self) -> None:
+            before = len(self.clauses) + len(self.learnts)
+            super().simplify()
+            dropped.append(before - len(self.clauses) - len(self.learnts))
+
+    diamond = load_dag(str(Path(__file__).parent.parent / "benchmarks" / "diamond.dag"))
+
+    def sweeps():
+        outs = [
+            ipdr_relax(encode_peterson(2, [0, 1, 2])),
+            ipdr_constrain(encode_pebbling(diamond, [1, 2, 3, 4], "constraining")),
+        ]
+        return [
+            ([(r.instance_label, r.verdict_kind, r.sat_calls) for r in o.per_instance_stats],
+             o.verdict)
+            for o in outs
+        ]
+
+    monkeypatch.setattr(ipdr.certify, "Solver", Counting)
+    simplified = sweeps()
+    monkeypatch.setattr(ipdr.certify, "Solver", NoSimplify)
+    reference = sweeps()
+    assert sum(dropped) > 0
+    assert all(isinstance(verdict, Invariant) for _, verdict in reference)
+    assert simplified == reference

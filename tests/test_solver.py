@@ -177,6 +177,133 @@ def test_monotone_under_more_assumptions():
     assert not s.solve(base + [y]).sat
 
 
+# --- level-0 simplification ----------------------------------------------------
+
+
+class NoSimplify(Solver):
+    """The same solver without level-0 clause removal, as a reference."""
+
+    def simplify(self) -> None:
+        pass
+
+
+def _watch_ids(s):
+    return [[id(c) for c in wl] for wl in s.watches]
+
+
+def test_simplify_drops_retired_guard_clauses_and_keeps_watch_order():
+    s = Solver()
+    # pigeonhole 4 into 3 behind guard g, interleaved with unguarded clauses
+    # over the same literals so that watch lists mix dropped and kept clauses
+    p = [s.fresh_vars(3) for _ in range(4)]
+    y = s.fresh_var()
+    g = s.fresh_var()
+    for i in range(4):
+        s.add_clause([p[i][0], p[(i + 1) % 4][1], y])
+        s.add_clause([-g, *p[i]])
+        s.add_clause([p[i][0], p[(i + 2) % 4][2], -y])
+    for j in range(3):
+        for i in range(4):
+            for k in range(i + 1, 4):
+                s.add_clause([-g, -p[i][j], -p[k][j]])
+    assert not s.solve([g]).sat
+    s.add_clause([-g])  # retire the guard
+    guarded = [c for c in s.clauses if -g in c]
+    satisfied_learnts = [c for c in s.learnts if -g in c]
+    assert guarded and satisfied_learnts
+    before = _watch_ids(s)
+
+    s.simplify()
+
+    gone = {id(c) for c in guarded + satisfied_learnts}
+    assert all(-g not in c for c in s.clauses + s.learnts)
+    assert not gone & {cid for wl in _watch_ids(s) for cid in wl}
+    assert set(s._learnt_meta) == {id(c) for c in s.learnts}
+    assert len(s.clauses) == 8
+    # every survivor is watched exactly by its first two literals, and every
+    # watch list is the old one with the dropped clauses filtered out
+    kept = {id(c) for c in s.clauses + s.learnts}
+    after = _watch_ids(s)
+    assert after == [[cid for cid in wl if cid in kept] for wl in before]
+    for c in s.clauses + s.learnts:
+        homes = [i for i, wl in enumerate(after) for cid in wl if cid == id(c)]
+        assert sorted(homes) == sorted([s._lit_idx(c[0]), s._lit_idx(c[1])])
+
+
+def test_simplify_is_a_no_op_without_new_level_0_literals():
+    s = Solver()
+    x, y, g = s.fresh_vars(3)
+    s.add_clause([-g, x, y])
+    s.simplify()
+    assert len(s.clauses) == 1
+    s.add_clause([-g])
+    s.simplify()
+    assert s.clauses == []
+    s.add_clause([x, y])
+    clauses = s.clauses
+    s.simplify()  # nothing fixed since the last pass: no sweep at all
+    assert s.clauses is clauses and clauses == [[x, y]]
+
+
+@st.composite
+def incremental_scripts(draw):
+    """Random incremental use: plain units and 3-clauses, guarded 3-clauses,
+    guards retired by a unit, and solves under the live guards plus random
+    assumptions. Dense enough that about a third of the scripts learn
+    clauses."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(5, 9))
+
+    def lits(k):
+        return [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), k)]
+
+    ops = []
+    for _ in range(draw(st.integers(1, 80))):
+        r = rng.random()
+        if r < 0.04:
+            ops.append(("add", lits(1)))
+        elif r < 0.15:
+            ops.append(("add", lits(3)))
+        elif r < 0.6:
+            ops.append(("guarded", lits(3)))
+        elif r < 0.75:
+            ops.append(("retire", rng.randrange(100)))
+        else:
+            ops.append(("solve", lits(rng.randint(0, 2))))
+    return n, ops
+
+
+def _run_script(cls, n, ops):
+    s = cls(seed=0)
+    s.fresh_vars(n)
+    guards: list[int] = []
+    out = []
+    for kind, arg in ops:
+        if kind == "add":
+            out.append(s.add_clause(arg))
+        elif kind == "guarded":
+            guards.append(s.fresh_var())
+            out.append(s.add_clause([-guards[-1], *arg]))
+        elif kind == "retire" and guards:
+            out.append(s.add_clause([-guards.pop(arg % len(guards))]))
+        elif kind == "solve":
+            r = s.solve([*guards, *arg])
+            model = [r.value(v) for v in range(1, s.nvars + 1)] if r.sat else None
+            out.append((r.sat, model, r.core))
+        out.append((s.n_propagations, s.n_conflicts))
+    return out, s
+
+
+@settings(max_examples=120, deadline=None)
+@given(incremental_scripts())
+def test_simplify_changes_no_answer_and_no_counter(script):
+    n, ops = script
+    with_simplify, s = _run_script(Solver, n, ops)
+    without, ref = _run_script(NoSimplify, n, ops)
+    assert with_simplify == without
+    assert len(s.clauses) <= len(ref.clauses)
+
+
 # --- Tseitin -------------------------------------------------------------------
 
 
