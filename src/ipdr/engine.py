@@ -11,6 +11,13 @@ serves every frame, frame clauses sit behind per-level activation literals,
 and retired clauses are never retracted, they just stop being assumed. The
 solver drops those that a unit has retired (the one-shot query guards) as
 satisfied at level 0, which leaves the models of the clause set unchanged.
+
+When the initial condition is one unit per state variable (a single initial
+state s0, as both encoders emit), initiation queries are answered without
+search, and every query first sets the saved phase of each state variable
+to its value in s0, so the search returns states close to the initial one.
+The certificate checks in `certify` keep answering initiation with the
+solver.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .certify import Skeleton, replay
 from .cnf import Clause, Cube, clause_blocks
-from .solver import SolverTimeout
+from .solver import SatResult, SolverTimeout
 from .system import Instance, State, TransitionSystem
 
 
@@ -114,6 +121,19 @@ class EngineCounters:
 # --- frame solver -------------------------------------------------------------------
 
 
+def init_cube(system: TransitionSystem) -> frozenset[int] | None:
+    """The initial state s0 as a cube, when every clause of the initial
+    condition is a unit and the units assign each state variable exactly
+    once; otherwise None (for example an initial condition over several
+    states, whose clauses name a Tseitin root)."""
+    if not all(len(c) == 1 for c in system.init):
+        return None
+    lits = [c.lits[0] for c in system.init]
+    if sorted(abs(l) for l in lits) != sorted(system.state_vars):
+        return None
+    return frozenset(lits)
+
+
 class SingleContextSolver(Skeleton):
     """The query layer shared by the engine and the incremental drivers: one
     incremental solver for everything, on the skeleton `certify` loads.
@@ -123,12 +143,52 @@ class SingleContextSolver(Skeleton):
     query. The solver then drops such a clause as satisfied at level 0 (see
     `Solver.simplify`); the models of the clause set do not change. Clauses
     behind the activation literals of an earlier generation (`reset_frames`)
-    stay in the database, since nothing fixes those literals."""
+    stay in the database, since nothing fixes those literals.
+
+    When the initial condition is a full cube s0 (see `init_cube`), two
+    things change, and they only work together. `sat_init` answers a cube
+    that contradicts s0 as UNSAT without the solver, and one that s0
+    contains by the one cached check of I and gamma per binding. And before
+    every query the saved phase of each state variable is set to its value
+    in s0. A solver-backed initiation query leaves those phases behind as a
+    side effect; without them `rel_ind` returns predecessors far from the
+    initial state, and with the shortcut alone the ham7tc sweeps took a
+    hundred times longer."""
 
     def __init__(self, system: TransitionSystem, config: PdrConfig):
         super().__init__(system, config.seed)
         self.acts: list[int] = []  # activation per delta level, index 0 unused
         self._asserted: set[tuple[Clause, int]] = set()
+        self._s0 = init_cube(system)
+        self._init_result: SatResult | None = None  # SAT(I and gamma), per binding
+
+    def bind_instance(self, inst: Instance) -> None:
+        super().bind_instance(inst)
+        self._init_result = None
+
+    def _solve(self, assumptions: list[int]) -> SatResult:
+        if self._s0 is not None:
+            self.solver.set_phases(self._s0)
+        return super()._solve(assumptions)
+
+    def sat_init(self, cube: Cube) -> SatResult:
+        """SAT(I and cube). When I is the cube s0, a cube that contradicts
+        s0 is UNSAT without search, and a cube inside s0 gets this binding's
+        cached SAT(I and gamma); any other cube goes to the solver."""
+        s0 = self._s0
+        if s0 is None:
+            return super().sat_init(cube)
+        inside = True
+        for l in cube:
+            if -l in s0:
+                return SatResult(False, None, frozenset((self.init_act, l)))
+            if l not in s0:
+                inside = False
+        if not inside:
+            return super().sat_init(cube)
+        if self._init_result is None:
+            self._init_result = super().sat_init(Cube(()))
+        return self._init_result
 
     def ensure_level(self, level: int) -> None:
         while len(self.acts) <= level:

@@ -7,10 +7,13 @@ list. Neither check shares code with the engine.
 """
 
 import itertools
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ipdr.certify import Skeleton
 from ipdr.cnf import Clause, Cube
 from ipdr.engine import (
     BudgetExceeded,
@@ -18,12 +21,16 @@ from ipdr.engine import (
     InvariantViolation,
     PdrConfig,
     PdrCtx,
+    SingleContextSolver,
     Trace,
+    init_cube,
     pdr_main,
     validate_ctx,
 )
+from ipdr.pebbling import encode_pebbling, load_dag
+from ipdr.peterson import encode_peterson
 from ipdr.solver import SolverTimeout
-from ipdr.system import build_explicit, holds_invariant_explicit
+from ipdr.system import Instance, TransitionSystem, build_explicit, holds_invariant_explicit
 
 from oracles import bfs_shortest_path
 
@@ -262,3 +269,114 @@ def test_verdict_matches_explicit_oracle(params):
     else:
         assert not ok
         assert_trace_valid(v, inits, edges, bads)
+
+
+# --- initiation without search and the phase policy -----------------------------------
+
+
+def _guarded_init_family():
+    """Two state bits, both initially true, and a guard g whose definition
+    forces x1 false: I and gamma is UNSAT when g is assumed, SAT otherwise."""
+    x1, x2, p1, p2, g = 1, 2, 3, 4, 5
+    system = TransitionSystem(
+        var_names=["x1", "x2"],
+        state_vars=[x1, x2],
+        primed_vars=[p1, p2],
+        nvars=5,
+        init=[Clause([x1]), Clause([x2])],
+        trans=[Clause([-x1, p1]), Clause([x1, -p1]), Clause([-x2, p2]), Clause([x2, -p2])],
+        prop=[Clause([-x1, -x2])],
+        defs=[Clause([-g, -x1])],
+        guards=[g],
+    )
+    return [Instance(system, "g", (g,)), Instance(system, "not-g", (-g,))]
+
+
+@lru_cache(maxsize=None)
+def _differential_family(name):
+    if name == "lock2":
+        return encode_peterson(2, [0, 1, 2]).instances
+    if name == "diamond":
+        diamond = load_dag(str(Path(__file__).parent.parent / "benchmarks" / "diamond.dag"))
+        return encode_pebbling(diamond, [1, 2, 3, 4]).instances
+    return tuple(_guarded_init_family())
+
+
+@lru_cache(maxsize=None)
+def _frame_solver(name):
+    instances = _differential_family(name)
+    fs = SingleContextSolver(instances[0].system, PdrConfig())
+    fs.bind_instance(instances[0])
+    return fs
+
+
+@lru_cache(maxsize=None)
+def _reference(name, index):
+    inst = _differential_family(name)[index]
+    sk = Skeleton(inst.system)
+    sk.bind_instance(inst)
+    return sk
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["lock2", "diamond", "guarded"]), st.data())
+def test_sat_init_agrees_with_the_certificate_skeleton(name, data):
+    instances = _differential_family(name)
+    system = instances[0].system
+    assert init_cube(system) is not None
+    index = data.draw(st.integers(0, len(instances) - 1))
+    fs = _frame_solver(name)
+    fs.bind_instance(instances[index])  # a fresh binding must drop the cached answer
+    picked = data.draw(st.lists(st.sampled_from(system.state_vars), unique=True))
+    signs = data.draw(st.lists(st.booleans(), min_size=len(picked), max_size=len(picked)))
+    cube = Cube(v if pos else -v for v, pos in zip(picked, signs))
+    got = fs.sat_init(cube)
+    want = _reference(name, index).sat_init(cube)
+    assert got.sat == want.sat
+    if want.sat:
+        assert all(got.value(v) == want.value(v) for v in system.state_vars)
+
+
+def test_rebinding_drops_the_cached_initial_answer():
+    unsat, sat = _guarded_init_family()
+    fs = SingleContextSolver(unsat.system, PdrConfig())
+    fs.bind_instance(unsat)
+    assert not fs.sat_init(Cube([1])).sat
+    fs.bind_instance(sat)
+    assert fs.sat_init(Cube([1])).sat
+
+
+def test_several_initial_states_fall_back_to_the_solver():
+    inst = build_explicit(["x1", "x2"], ["00", "01"], CHAIN_EDGES, ["11"])
+    assert init_cube(inst.system) is None
+    ctx = PdrCtx(inst, PdrConfig())
+    fs = ctx.fs
+    x1, x2 = inst.system.state_vars
+    for cube in [Cube([x1]), Cube([-x1]), Cube([-x1, x2]), Cube([-x1, -x2])]:
+        before = fs.solver.n_solves
+        fs.sat_init(cube)
+        assert fs.solver.n_solves == before + 1
+    phased = []
+    fs.solver.set_phases = phased.append
+    assert isinstance(pdr_main(ctx), Invariant)
+    assert phased == []
+
+
+def test_unconstrained_state_variables_take_their_initial_values():
+    """The search decides state variables toward s0, whatever phases the
+    previous query saved."""
+    x1, x2, x3 = 1, 2, 3
+    system = TransitionSystem(
+        var_names=["x1", "x2", "x3"],
+        state_vars=[x1, x2, x3],
+        primed_vars=[4, 5, 6],
+        nvars=6,
+        init=[Clause([-x1]), Clause([-x2]), Clause([-x3])],
+        trans=[],
+        prop=[Clause([-x1])],
+    )
+    fs = SingleContextSolver(system, PdrConfig())
+    fs.bind_instance(Instance(system, "only"))
+    fs.ensure_level(2)
+    assert fs.sat_cube_bad(Cube([x1, x2, x3]))  # saves x2 and x3 as true
+    assert fs.bad_cube_at(1) == Cube([x1, -x2, -x3])
