@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -53,17 +52,12 @@ class RunConfig:
 
 
 def _config(args, default_strategy: str) -> RunConfig:
-    timeout = args.timeout_s
-    if timeout is None and os.environ.get("IPDR_TIMEOUT_S"):
-        timeout = float(os.environ["IPDR_TIMEOUT_S"])
     return RunConfig(
         strategy=args.strategy or default_strategy,
         pdr=PdrConfig(
             seed=args.seed,
             max_k=args.max_k,
-            timeout_s=timeout,
-            ctg_depth=args.ctg_depth,
-            max_ctgs=args.max_ctgs,
+            timeout_s=args.timeout_s,
             debug_invariants=args.debug_invariants,
         ),
         stats_path=args.stats,
@@ -385,11 +379,7 @@ def cmd_bench(args) -> int:
         if s not in STRATEGIES:
             print(f"error: unknown strategy {s!r}", file=sys.stderr)
             return 2
-    seeds = (
-        [int(s) for s in args.seeds.split(",")]
-        if args.seeds
-        else list(range(args.repetitions))
-    )
+    seeds = [int(s) for s in args.seeds.split(",")]
     rows: list[RunStats] = []
     failures = 0
     for path in inputs:
@@ -546,11 +536,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--strategy", choices=STRATEGIES, default=None)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--timeout", type=float, default=None, dest="timeout_s",
-                        help="wall-clock budget in seconds")
+                        help="wall-clock budget in seconds per instance")
     common.add_argument("--max-k", type=int, default=None, dest="max_k",
                         help="frontier cap before giving up")
-    common.add_argument("--ctg-depth", type=int, default=1, dest="ctg_depth")
-    common.add_argument("--max-ctgs", type=int, default=5, dest="max_ctgs")
     common.add_argument("--debug-invariants", action="store_true",
                         dest="debug_invariants")
     common.add_argument("--stats", default=None, help="write per-instance CSV here")
@@ -587,8 +575,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("bench", parents=[common],
                        help="run an input x strategy x seed matrix")
     s.add_argument("suite", help="directory of .dag/.tfc/.sys inputs")
-    s.add_argument("--repetitions", type=int, default=1)
-    s.add_argument("--seeds", default=None, help="comma-separated seed list")
+    s.add_argument("--seeds", default="0", help="comma-separated seed list")
     s.add_argument("--strategies", default="naive,constrain,relax,binary")
     s.set_defaults(func=cmd_bench)
 

@@ -1,10 +1,11 @@
 """Property directed reachability over clause-encoded transition systems.
 
-Frames are delta encoded: deltas[i] holds exactly the clauses whose highest
-frame is i, so the clause set of frame F_i is the union of deltas[j] for
-j >= i. Level 0 is the initial constraint and has no delta; deltas normally
-run 1..k+1 for frontier k, but levels above k+1 may hold preloaded clauses
-after a frame repair (they are dormant until the frontier reaches them).
+Frames are delta encoded (`Frames`): deltas[i] holds exactly the clauses
+whose highest frame is i, so the clause set of frame F_i is the union of
+deltas[j] for j >= i. Level 0 is the initial constraint and has no delta;
+deltas normally run 1..k+1 for frontier k, but levels above k+1 may hold
+preloaded clauses after a frame repair (they are dormant until the frontier
+reaches them). A clause sits in at most one delta.
 
 All SAT work goes through one frame solver: a single incremental context
 serves every frame, frame clauses sit behind per-level activation literals,
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .certify import Skeleton, replay
 from .cnf import Clause, Cube, clause_blocks
-from .solver import SatResult, SolverTimeout
+from .solver import SatResult, Solver, SolverTimeout
 from .system import Instance, State, TransitionSystem
 
 
@@ -48,13 +49,21 @@ class UsageError(Exception):
     """Caller error: arguments outside what the interface supports."""
 
 
+# generalization blocks counterexamples to generalization (CTGs) nested at
+# most CTG_DEPTH deep, and at most MAX_CTGS in a row for one candidate cube
+CTG_DEPTH = 1
+MAX_CTGS = 5
+
+
 @dataclass
 class PdrConfig:
+    """Engine settings. `timeout_s` is a wall-clock budget per instance: a
+    driver gives the repair of a reused context and the run that follows
+    one budget, and `pdr_main` on a context without a deadline starts one."""
+
     seed: int = 0
     max_k: int | None = None
     timeout_s: float | None = None
-    ctg_depth: int = 1
-    max_ctgs: int = 5
     debug_invariants: bool = False
 
 
@@ -89,29 +98,6 @@ class Obligation:
     parent: "Obligation | None" = field(compare=False, default=None)
 
 
-class FrameSeq:
-    """Delta-encoded frame clauses. Insertion-ordered dicts keep every
-    iteration deterministic across processes."""
-
-    def __init__(self):
-        self.k = 0
-        self.deltas: list[dict[Clause, None]] = [{}]  # index 0 unused
-
-    @property
-    def max_level(self) -> int:
-        return len(self.deltas) - 1
-
-    def ensure_level(self, i: int) -> None:
-        while len(self.deltas) <= i:
-            self.deltas.append({})
-
-    def frame_clauses(self, i: int) -> list[Clause]:
-        out: list[Clause] = []
-        for j in range(max(i, 1), len(self.deltas)):
-            out.extend(self.deltas[j])
-        return out
-
-
 @dataclass
 class EngineCounters:
     cti: int = 0
@@ -134,16 +120,64 @@ def init_cube(system: TransitionSystem) -> frozenset[int] | None:
     return frozenset(lits)
 
 
+class Frames:
+    """The delta levels and their activation literals: the one owner of
+    "clause c sits at level i behind literal acts[i]". deltas[0] is unused
+    and level 1 always exists; insertion-ordered dicts keep iteration
+    deterministic across processes. acts (index 0 allocated, unused) is
+    empty in a new generation until the first `ensure_level`. Frame clauses
+    are never retracted: `reset` starts a new generation whose fresh
+    literals leave the old clauses unassumed."""
+
+    def __init__(self, solver: Solver):
+        self.solver = solver
+        self.reset()
+
+    def reset(self) -> None:
+        self.k = 0
+        self.deltas: list[dict[Clause, None]] = [{}, {}]
+        self.acts: list[int] = []
+        self._asserted: set[tuple[Clause, int]] = set()
+
+    @property
+    def max_level(self) -> int:
+        return len(self.deltas) - 1
+
+    def ensure_level(self, level: int) -> None:
+        """Make levels up to `level` ready to hold clauses and be assumed."""
+        while len(self.deltas) <= level:
+            self.deltas.append({})
+        while len(self.acts) <= level:
+            self.acts.append(self.solver.fresh_var())
+
+    def add(self, clause: Clause, level: int) -> None:
+        """File a clause in deltas[level] and assert it behind acts[level],
+        once per literal. The caller removes it from any other level."""
+        self.ensure_level(level)
+        self.deltas[level][clause] = None
+        act = self.acts[level]
+        if (clause, act) not in self._asserted:
+            self._asserted.add((clause, act))
+            self.solver.add_clause([-act, *clause.lits])
+
+    def frame_clauses(self, i: int) -> list[Clause]:
+        out: list[Clause] = []
+        for j in range(max(i, 1), len(self.deltas)):
+            out.extend(self.deltas[j])
+        return out
+
+
 class SingleContextSolver(Skeleton):
     """The query layer shared by the engine and the incremental drivers: one
     incremental solver for everything, on the skeleton `certify` loads.
-    Frame clauses sit behind per-level activation literals. Temporary
-    clauses (the negation of a cube in a relative-induction query) ride
-    behind one-shot guard literals that are permanently falsified after the
-    query. The solver then drops such a clause as satisfied at level 0 (see
-    `Solver.simplify`); the models of the clause set do not change. Clauses
-    behind the activation literals of an earlier generation (`reset_frames`)
-    stay in the database, since nothing fixes those literals.
+    Frame clauses sit in `frames` behind per-level activation literals.
+    Temporary clauses (the negation of a cube in a relative-induction query)
+    ride behind one-shot guard literals that are permanently falsified after
+    the query. The solver then drops such a clause as satisfied at level 0
+    (see `Solver.simplify`); the models of the clause set do not change.
+    Clauses behind the activation literals of an earlier generation
+    (`Frames.reset`) stay in the database, since nothing fixes those
+    literals.
 
     When the initial condition is a full cube s0 (see `init_cube`), two
     things change, and they only work together. `sat_init` answers a cube
@@ -157,8 +191,7 @@ class SingleContextSolver(Skeleton):
 
     def __init__(self, system: TransitionSystem, config: PdrConfig):
         super().__init__(system, config.seed)
-        self.acts: list[int] = []  # activation per delta level, index 0 unused
-        self._asserted: set[tuple[Clause, int]] = set()
+        self.frames = Frames(self.solver)
         self._s0 = init_cube(system)
         self._init_result: SatResult | None = None  # SAT(I and gamma), per binding
 
@@ -190,27 +223,9 @@ class SingleContextSolver(Skeleton):
             self._init_result = super().sat_init(Cube(()))
         return self._init_result
 
-    def ensure_level(self, level: int) -> None:
-        while len(self.acts) <= level:
-            self.acts.append(self.solver.fresh_var())
-
-    def note_clause(self, clause: Clause, level: int) -> None:
-        self.ensure_level(level)
-        act = self.acts[level]
-        key = (clause, act)
-        if key in self._asserted:
-            return
-        self._asserted.add(key)
-        self.solver.add_clause([-act, *clause.lits])
-
-    def reset_frames(self) -> None:
-        # a fresh activation generation; clauses behind the old literals are
-        # never assumed again
-        self.acts = []
-
     def _base(self, level: int) -> list[int]:
         """Assumptions selecting F_level; level 0 is the initial constraint."""
-        return [self.init_act] if level == 0 else self.acts[level:]
+        return [self.init_act] if level == 0 else self.frames.acts[level:]
 
     def bad_cube_at(self, level: int) -> Cube | None:
         """Model of F_level and not P, as a total state cube."""
@@ -272,10 +287,9 @@ class PdrCtx:
         self.config = config or PdrConfig()
         self.system = instance.system
         self.instance = instance
-        self.frames = FrameSeq()
-        self.frames.ensure_level(1)
         self.fs = SingleContextSolver(self.system, self.config)
         self.fs.bind_instance(instance)
+        self.frames = self.fs.frames
         self.queue: list[Obligation] = []
         self._order = 0
         self.counters = EngineCounters()
@@ -308,7 +322,8 @@ def pdr_init(instance: Instance, config: PdrConfig | None = None) -> PdrCtx:
 def pdr_main(ctx: PdrCtx) -> Verdict:
     """Run to a verdict from whatever state the context is in. A context
     with frontier 0 (fresh or just repaired) first checks its initial states
-    against the property."""
+    against the property. A context with no deadline yet gets `timeout_s`
+    from now; the drivers set one per instance before repairing."""
     fs, frames, cfg = ctx.fs, ctx.frames, ctx.config
     if cfg.timeout_s is not None and fs.deadline is None:
         fs.deadline = time.perf_counter() + cfg.timeout_s
@@ -321,7 +336,6 @@ def pdr_main(ctx: PdrCtx) -> Verdict:
             raise BudgetExceeded(f"frontier cap {cfg.max_k} reached")
         frames.k = 1
         frames.ensure_level(2)
-        fs.ensure_level(2)
     while True:
         _check_deadline(fs)
         trace = _process_queue(ctx)
@@ -346,7 +360,6 @@ def pdr_main(ctx: PdrCtx) -> Verdict:
             raise BudgetExceeded(f"frontier cap {cfg.max_k} reached")
         frames.k += 1
         frames.ensure_level(frames.k + 1)
-        fs.ensure_level(frames.k + 1)
 
 
 def _process_queue(ctx: PdrCtx) -> Trace | None:
@@ -421,7 +434,7 @@ def generalize(ctx: PdrCtx, level: int, cube: Cube, seed: Cube | None = None, de
 def _ctg_down(ctx: PdrCtx, q: Cube, level: int, depth: int) -> tuple[bool, Cube]:
     """Try to establish a candidate subcube, strengthening frames against
     counterexamples to generalization and otherwise joining with them."""
-    fs, cfg, frames = ctx.fs, ctx.config, ctx.frames
+    fs, frames = ctx.fs, ctx.frames
     ctgs = 0
     while True:
         if not q.lits:
@@ -434,8 +447,8 @@ def _ctg_down(ctx: PdrCtx, q: Cube, level: int, depth: int) -> tuple[bool, Cube]
             return True, _repair_init(ctx, sub, q)
         m = payload
         if (
-            depth < cfg.ctg_depth
-            and ctgs < cfg.max_ctgs
+            depth < CTG_DEPTH
+            and ctgs < MAX_CTGS
             and level > 1
             and not fs.sat_init(m).sat
         ):
@@ -458,10 +471,9 @@ def add_blocked(ctx: PdrCtx, clause: Clause, target: int) -> None:
     stronger one at or above the level is skipped; clauses it subsumes at or
     below the level are erased (their solver entries are implied, so they
     merely stop being tracked)."""
-    frames, fs = ctx.frames, ctx.fs
+    frames = ctx.frames
     lvl = min(target, frames.k + 1)
     frames.ensure_level(lvl)
-    fs.ensure_level(lvl)
     for j in range(lvl, frames.max_level + 1):
         for d in frames.deltas[j]:
             if d.subsumes(clause):
@@ -469,8 +481,7 @@ def add_blocked(ctx: PdrCtx, clause: Clause, target: int) -> None:
     for j in range(1, lvl + 1):
         for d in [x for x in frames.deltas[j] if clause.subsumes(x)]:
             del frames.deltas[j][d]
-    frames.deltas[lvl][clause] = None
-    fs.note_clause(clause, lvl)
+    frames.add(clause, lvl)
 
 
 def propagate(ctx: PdrCtx) -> int | None:
@@ -484,9 +495,7 @@ def propagate(ctx: PdrCtx) -> int | None:
             if c not in frames.deltas[i]:
                 continue  # erased by subsumption while moving a predecessor
             if fs.step_holds(i, c):
-                add_blocked(ctx, c, i + 1)
-                if c in frames.deltas[i] and c in frames.deltas[i + 1]:
-                    del frames.deltas[i][c]
+                add_blocked(ctx, c, i + 1)  # moves c up unless a clause above subsumes it
     for i in range(1, frames.k + 1):
         if not frames.deltas[i]:
             return i
@@ -515,16 +524,17 @@ def validate_ctx(ctx: PdrCtx, frontier_clear: bool = True) -> list[str]:
     one entry per violation; an empty list means the state is sound to
     resume from.
 
-    Frame checks: every stored clause excludes the initial states (so the
-    frames nest above the initial frame); every frame at or below the
-    frontier excludes property violations; and consecution holds, i.e. a
-    step from frame i cannot leave a clause of frame i+1, for i below the
-    frontier. Obligation checks: the level lies in [0, k] (arithmetic); the
-    parent chain ends at a property violation (walked syntactically, the
-    root checked by one SAT query); and the cube is excluded from its own
-    frame under the property. Pass frontier_clear=False for a context
-    captured mid-run, where an unhandled frontier violation is the normal
-    resumption entry point rather than a defect.
+    Frame checks: a clause sits in at most one delta; every stored clause
+    excludes the initial states (so the frames nest above the initial
+    frame); every frame at or below the frontier excludes property
+    violations; and consecution holds, i.e. a step from frame i cannot
+    leave a clause of frame i+1, for i below the frontier. Obligation
+    checks: the level lies in [0, k] (arithmetic); the parent chain ends at
+    a property violation (walked syntactically, the root checked by one SAT
+    query); and the cube is excluded from its own frame under the property.
+    Pass frontier_clear=False for a context captured mid-run, where an
+    unhandled frontier violation is the normal resumption entry point
+    rather than a defect.
     """
     frames, fs = ctx.frames, ctx.fs
     out: list[str] = []
@@ -542,8 +552,12 @@ def validate_ctx(ctx: PdrCtx, frontier_clear: bool = True) -> list[str]:
             excluded = not fs.sat_frame_cube(ob.level, ob.cube)
         if not excluded:
             out.append(f"obligation-cube: cube not excluded at level {ob.level}")
+    seen: set[Clause] = set()
     for j in range(1, frames.max_level + 1):
         for c in frames.deltas[j]:
+            if c in seen:
+                out.append(f"one-delta: a level {j} clause also sits in a lower delta")
+            seen.add(c)
             if fs.sat_init(c.negate()).sat:
                 out.append(f"init-containment: level {j} clause blocks an initial state")
     top = frames.k if frontier_clear else frames.k - 1

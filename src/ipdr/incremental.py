@@ -5,7 +5,7 @@ when the next instance is more constrained the frames stay sound as they are
 (every stored clause over-approximates a reachable set that only shrinks),
 so repair is a rebind plus one propagation pass; when it is more relaxed,
 each stored clause is re-established from scratch against the new semantics
-before being copied into a fresh frame sequence. The linear drivers sweep a
+before being copied into a new frame generation. The linear drivers sweep a
 family in order, the binary driver keeps one reusable context per verdict
 side and probes midpoints from the nearer side.
 
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from .certify import check_trace
 from .cnf import Clause
 from .engine import (
-    FrameSeq,
     Invariant,
     InvariantViolation,
     PdrConfig,
@@ -108,28 +107,23 @@ def relax(ctx: PdrCtx, nxt: Instance) -> tuple[int, int]:
     re-proved after every step from frame i is stored at i+1, climbing one
     target per pass up to one past its old level; a first-target failure
     drops it, a later failure leaves it at the last level it passed. The
-    frontier restarts at 0 with the survivors preloaded dormant above it.
+    frames restart in place (`Frames.reset`) at frontier 0, with the
+    survivors preloaded dormant above it.
     """
     if ctx.queue:
         raise UsageError("relax requires a settled context with no obligations")
     if ctx.instance is not nxt:
         ctx.rebind(nxt)
-    old = ctx.frames
-    k_old = old.k
-    fresh = FrameSeq()
-    fresh.ensure_level(max(k_old, 1))
-    ctx.frames = fresh
-    fs = ctx.fs
-    fs.reset_frames()
-    attempts = 0
+    frames, fs = ctx.frames, ctx.fs
+    old, k_old = frames.deltas, frames.k
+    frames.reset()
     if k_old < 2:
         return 0, 0  # no frame below the frontier to copy from
+    attempts = 0
     survivors: list[Clause] = []
     cap: dict[Clause, int] = {}
-    for j in range(1, old.max_level + 1):
-        for c in old.deltas[j]:
-            if c in cap:
-                continue
+    for j in range(1, len(old)):
+        for c in old[j]:
             cap[c] = min(j + 1, k_old)
             attempts += 1
             if not fs.sat_init(c.negate()).sat:
@@ -143,9 +137,8 @@ def relax(ctx: PdrCtx, nxt: Instance) -> tuple[int, int]:
                 continue
             prev = placed.get(c)
             if prev is not None:
-                del fresh.deltas[prev][c]
-            fresh.deltas[t][c] = None
-            fs.note_clause(c, t)
+                del frames.deltas[prev][c]
+            frames.add(c, t)
             placed[c] = t
             live.append(c)
     return attempts, len(placed)
@@ -178,13 +171,17 @@ def _visit(
     property; a violation is returned as a length-0 trace with no context,
     since the stale frames were never repaired and must not be reused. The
     row counts the engine work from before the repair (after a fresh
-    start) and the preparation time from `t0`, which defaults to now."""
+    start) and the preparation time from `t0`, which defaults to now. The
+    instance's budget `timeout_s` also runs from `t0`, so the repair and the
+    run share it."""
     t0 = time.perf_counter() if t0 is None else t0
     attempts = copied = 0
     verdict: Verdict | None = None
     fresh = ctx is None
     if fresh:
         ctx = pdr_init(inst, cfg)
+    if cfg.timeout_s is not None:
+        ctx.fs.deadline = t0 + cfg.timeout_s
     before = (ctx.counters.cti, ctx.counters.obligations, ctx.fs.sat_calls, ctx.fs.sat_time_s)
     prep = 0.0
     if not fresh:

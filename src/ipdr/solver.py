@@ -261,7 +261,8 @@ class Solver:
             self._rebuild_heap()
 
     def _rebuild_heap(self) -> None:
-        self._heap = [
+        # in place: `_solve` holds the list for the whole search
+        self._heap[:] = [
             (-self.activity[v], v) for v in range(1, self.nvars + 1) if self.assigns[v] == UNDEF
         ]
         heapq.heapify(self._heap)
@@ -594,12 +595,6 @@ class Solver:
                 if self.assigns[cand] == UNDEF and -negact == self.activity[cand]:
                     v = cand
                     break
-            if v == 0:
-                # double-check nothing unassigned is hiding behind stale entries
-                for cand in range(1, self.nvars + 1):
-                    if self.assigns[cand] == UNDEF:
-                        v = cand
-                        break
             if v == 0:
                 assigns = list(self.assigns)
                 return SatResult(True, assigns, None)

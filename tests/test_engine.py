@@ -196,6 +196,16 @@ def test_validator_catches_planted_corruption():
     assert any(v.startswith("init-containment") for v in validate_ctx(ctx))
 
 
+def test_validator_catches_a_clause_in_two_deltas():
+    inst = build_explicit(["x1", "x2"], ["00"], CHAIN_EDGES, ["11"])
+    ctx = PdrCtx(inst, PdrConfig())
+    pdr_main(ctx)
+    frames = ctx.frames
+    level, clause = next((j, c) for j in range(1, frames.max_level + 1) for c in frames.deltas[j])
+    frames.deltas[2 if level == 1 else 1][clause] = None
+    assert any(v.startswith("one-delta") for v in validate_ctx(ctx))
+
+
 def test_validator_catches_out_of_range_obligation():
     inst = build_explicit(["x1", "x2"], ["00"], CHAIN_EDGES, ["11"])
     ctx = PdrCtx(inst, PdrConfig())
@@ -210,8 +220,7 @@ def test_debug_mode_raises_on_corrupted_resume():
     ctx = PdrCtx(inst, PdrConfig(debug_invariants=True))
     pdr_main(ctx)
     bogus = Clause([inst.system.state_vars[0], inst.system.state_vars[1]])
-    ctx.frames.deltas[1][bogus] = None
-    ctx.fs.note_clause(bogus, 1)
+    ctx.frames.add(bogus, 1)
     with pytest.raises(InvariantViolation):
         pdr_main(ctx)
 
@@ -377,6 +386,6 @@ def test_unconstrained_state_variables_take_their_initial_values():
     )
     fs = SingleContextSolver(system, PdrConfig())
     fs.bind_instance(Instance(system, "only"))
-    fs.ensure_level(2)
+    fs.frames.ensure_level(2)
     assert fs.sat_cube_bad(Cube([x1, x2, x3]))  # saves x2 and x3 as true
     assert fs.bad_cube_at(1) == Cube([x1, -x2, -x3])

@@ -94,6 +94,24 @@ def two_paths_family():
     )
 
 
+def three_paths_family():
+    """Constraining family where instance j adds a path of 4 - j steps to
+    the bad state, so no trace replays in the next instance and a
+    constraining sweep runs all four on one context."""
+    return build_explicit_family(
+        ["a", "b", "c"],
+        ["000"],
+        [],
+        [
+            [("000", "001"), ("001", "011"), ("011", "111")],
+            [("000", "100"), ("100", "111")],
+            [("000", "111")],
+        ],
+        ["111"],
+        direction="constraining",
+    )
+
+
 def all_safe_family():
     return build_explicit_family(
         ["a", "b"],
@@ -290,6 +308,40 @@ def test_last_trace_is_the_most_recent_counterexample(driver, make, expect):
     else:  # the two-step trace of instance 1, not the one-step trace of 2
         assert verdict_kinds(out) == [("2", "trace"), ("1", "trace"), ("0", "invariant")]
         assert [s.bits for s in out.last_trace.states] == ["00", "01", "11"]
+
+
+@pytest.mark.parametrize(
+    "driver, make",
+    [
+        (ipdr_constrain, three_paths_family),
+        (ipdr_relax, all_safe_family),
+        (naive_driver, three_paths_family),
+    ],
+    ids=["constrain", "relax", "naive"],
+)
+def test_timeout_is_a_budget_per_instance(monkeypatch, driver, make):
+    """Each run takes 0.9 of the budget on a fake clock, so the sweep only
+    finishes when every instance gets a budget of its own."""
+    import time
+
+    import ipdr.incremental as inc
+
+    budget = 600.0
+    real = time.perf_counter
+    jump = [0.0]
+    monkeypatch.setattr(time, "perf_counter", lambda: real() + jump[0])
+    original = inc.pdr_main
+
+    def run_then_jump(ctx):
+        try:
+            return original(ctx)
+        finally:
+            jump[0] += 0.9 * budget
+
+    monkeypatch.setattr(inc, "pdr_main", run_then_jump)
+    fam = make()
+    out = driver(fam, PdrConfig(timeout_s=budget))
+    assert len(out.per_instance_stats) == len(fam.instances)
 
 
 def test_driver_direction_is_checked():

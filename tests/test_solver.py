@@ -471,3 +471,15 @@ def test_solver_matches_dpll_on_3cnf(seed):
     expected = _dpll(clauses, {}) is not None
     s = make_solver(n, clauses, seed=seed % 5)
     assert s.solve([]).sat == expected
+
+
+def test_heap_rebuild_keeps_the_list_the_search_holds():
+    """`_solve` binds the decision heap once per search; a rebuild (a long
+    backjump or an activity rescale) must refill that list, not replace it."""
+    s = make_solver(4, [[1, 2], [-1, 3]])
+    heap = s._heap
+    s._var_bump(2)
+    s._rebuild_heap()
+    assert s._heap is heap
+    assert sorted(v for _, v in heap) == [1, 2, 3, 4]
+    assert heap[0] == (-s.activity[2], 2)
