@@ -9,8 +9,24 @@ clause set, assumptions, and seed.
 
 Solver internals are MiniSat-shaped: two watched literals, first-UIP clause
 learning with local minimization, EVSIDS variable activity, phase saving,
-Luby restarts, activity-based learnt-clause reduction, and level-0 removal
-of satisfied clauses (`simplifyDB`).
+Luby restarts (MiniSat's `luby`; a restart also checks the deadline),
+activity-based learnt-clause reduction, and level-0 removal of satisfied
+clauses (`simplifyDB`).
+
+Nearly all of a model-checking run is spent in `_propagate`, so the hot
+paths are written for the interpreter. `_propagate` and the assumption and
+decision steps of `_solve` assign literals inline instead of calling
+`_unchecked_enqueue`; `_propagate` walks each watch list once with `for`,
+compacting it in place, and looks at the single candidate of a ternary
+clause without a loop; `_cancel_until`, `_analyze` and `_analyze_final`
+take a literal's variable inline. None of this may move the search, which
+depends on two things the code does not show:
+
+- the order of the `heapq` calls: the decision heap is not kept sifted
+  (see `fresh_var`), so the order of pushes and pops picks the decisions;
+- the position of each literal in a clause: `clause[0]` is the literal a
+  reason clause implies (`_analyze` reads it) and the watch search visits
+  `clause[2:]` in order.
 """
 
 from __future__ import annotations
@@ -67,7 +83,12 @@ class SatResult:
 
 def model_cube(result: SatResult, variables: Iterable[int]) -> Cube:
     """Total cube over the given variables, read off the model."""
-    return Cube(v if result.value(v) else -v for v in variables)
+    if not result.sat:
+        raise ValueError("no model: result is unsat")
+    assigns = result._assigns
+    # TRUE is 1 and FALSE is -1, so v * value is the literal; an unassigned
+    # variable gives 0, which Cube rejects
+    return Cube([v * assigns[v] for v in variables])
 
 
 class VarPool:
@@ -235,26 +256,28 @@ class Solver:
         self.reason[v] = reason
         self.trail.append(lit)
 
-    def _new_decision_level(self) -> None:
-        self.trail_lim.append(len(self.trail))
-
     def _cancel_until(self, lvl: int) -> None:
         if len(self.trail_lim) <= lvl:
             return
         bound = self.trail_lim[lvl]
         assigns = self.assigns
         phase = self.phase
+        reason = self.reason
         heap = self._heap
         activity = self.activity
         push = heapq.heappush
-        for i in range(len(self.trail) - 1, bound - 1, -1):
-            lit = self.trail[i]
-            v = var_of(lit)
-            phase[v] = lit > 0
+        trail = self.trail
+        for lit in reversed(trail[bound:]):
+            if lit > 0:
+                v = lit
+                phase[v] = True
+            else:
+                v = -lit
+                phase[v] = False
             assigns[v] = UNDEF
-            self.reason[v] = None
+            reason[v] = None
             push(heap, (-activity[v], v))
-        del self.trail[bound:]
+        del trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = bound
         if len(heap) > 4 * self.nvars + 64:
@@ -295,60 +318,90 @@ class Solver:
     # --- propagation -----------------------------------------------------------
 
     def _propagate(self) -> list[int] | None:
-        """Unit propagation; returns a conflicting clause or None."""
+        """Unit propagation; returns a conflicting clause or None.
+
+        The hot loop of the solver, so the enqueue of `_unchecked_enqueue`
+        is inlined and every list is a local. Each watch list is walked
+        once with `for` and compacted in place: a clause that keeps its
+        watch is written back at `j`, one that moves is left behind.
+        Literal positions matter: the false watch goes to position 1, so
+        that `clause[0]` is the implied literal `_analyze` reads. Values
+        are written as 1 and -1 (TRUE and FALSE): a constant loads faster
+        than a global."""
         assigns = self.assigns
+        level = self.level
+        reason = self.reason
         watches = self.watches
         trail = self.trail
-        confl: list[int] | None = None
-        while self.qhead < len(trail):
-            p = trail[self.qhead]
-            self.qhead += 1
-            self.n_propagations += 1
-            neg_p = -p
+        push_trail = trail.append
+        dl = len(self.trail_lim)
+        qhead = qhead0 = self.qhead
+        n_trail = len(trail)
+        while qhead < n_trail:
+            neg_p = -trail[qhead]
+            qhead += 1
             wl = watches[2 * neg_p if neg_p > 0 else -2 * neg_p + 1]
-            i = 0
             j = 0
-            n = len(wl)
-            while i < n:
-                clause = wl[i]
-                i += 1
+            for clause in wl:
                 # make sure the false literal sits at position 1
-                if clause[0] == neg_p:
-                    clause[0] = clause[1]
-                    clause[1] = neg_p
                 first = clause[0]
+                if first == neg_p:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = neg_p
                 val = assigns[first] if first > 0 else -assigns[-first]
-                if val == TRUE:
+                if val == 1:
                     wl[j] = clause
                     j += 1
                     continue
-                found = False
-                for k in range(2, len(clause)):
-                    lk = clause[k]
-                    vk = assigns[lk] if lk > 0 else -assigns[-lk]
-                    if vk != FALSE:
+                # look for a new watch; ternary clauses have one candidate
+                n = len(clause)
+                if n == 3:
+                    lk = clause[2]
+                    if (assigns[lk] if lk > 0 else -assigns[-lk]) != -1:
                         clause[1] = lk
-                        clause[k] = neg_p
+                        clause[2] = neg_p
                         watches[2 * lk if lk > 0 else -2 * lk + 1].append(clause)
-                        found = True
-                        break
-                if found:
-                    continue
+                        continue
+                elif n > 3:
+                    for k in range(2, n):
+                        lk = clause[k]
+                        if (assigns[lk] if lk > 0 else -assigns[-lk]) != -1:
+                            clause[1] = lk
+                            clause[k] = neg_p
+                            watches[2 * lk if lk > 0 else -2 * lk + 1].append(clause)
+                            break
+                    else:
+                        k = 0
+                    if k:
+                        continue
                 # unit or conflict
+                if val == -1:
+                    # keep the rest of the watch list: drop only the slots
+                    # of the clauses that moved, between j and this clause
+                    # (a clause sits in a watch list at most once)
+                    i = j
+                    while wl[i] is not clause:
+                        i += 1
+                    del wl[j:i]
+                    self.qhead = qhead
+                    self.n_propagations += qhead - qhead0
+                    return clause
                 wl[j] = clause
                 j += 1
-                if val == FALSE:
-                    # conflict: keep the rest of the watch list
-                    while i < n:
-                        wl[j] = wl[i]
-                        j += 1
-                        i += 1
-                    confl = clause
-                    break
-                self._unchecked_enqueue(first, clause)
+                if first > 0:
+                    assigns[first] = 1
+                    level[first] = dl
+                    reason[first] = clause
+                else:
+                    assigns[-first] = -1
+                    level[-first] = dl
+                    reason[-first] = clause
+                push_trail(first)
+                n_trail += 1
             del wl[j:]
-            if confl is not None:
-                return confl
+        self.qhead = qhead
+        self.n_propagations += qhead - qhead0
         return None
 
     # --- conflict analysis -------------------------------------------------------
@@ -358,17 +411,18 @@ class Solver:
         seen = self._seen
         level = self.level
         reason = self.reason
+        trail = self.trail
         cur_level = len(self.trail_lim)
         path_c = 0
         p: int | None = None
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         c: list[int] | None = confl
         while True:
             assert c is not None
             self._cla_bump(c)
             start = 0 if p is None else 1
             for q in c[start:]:
-                v = var_of(q)
+                v = q if q > 0 else -q
                 if not seen[v] and level[v] > 0:
                     seen[v] = 1
                     self._var_bump(v)
@@ -376,11 +430,12 @@ class Solver:
                         path_c += 1
                     else:
                         learnt.append(q)
-            while not seen[var_of(self.trail[idx])]:
+            p = trail[idx]
+            while not seen[p if p > 0 else -p]:
                 idx -= 1
-            p = self.trail[idx]
+                p = trail[idx]
             idx -= 1
-            v = var_of(p)
+            v = p if p > 0 else -p
             c = reason[v]
             seen[v] = 0
             path_c -= 1
@@ -388,32 +443,38 @@ class Solver:
                 break
         learnt[0] = -p
         # local minimization: drop literals whose whole reason is already seen
-        for q in learnt[1:]:
-            seen[var_of(q)] = 1
+        tail = [q if q > 0 else -q for q in learnt[1:]]
+        for v in tail:
+            seen[v] = 1
         kept = [learnt[0]]
-        for q in learnt[1:]:
-            r = reason[var_of(q)]
+        for q, v in zip(learnt[1:], tail):
+            r = reason[v]
             if r is None:
                 kept.append(q)
                 continue
             for other in r[1:]:
-                ov = var_of(other)
+                ov = other if other > 0 else -other
                 if not seen[ov] and level[ov] > 0:
                     kept.append(q)
                     break
-        for q in learnt[1:]:
-            seen[var_of(q)] = 0
+        for v in tail:
+            seen[v] = 0
         learnt = kept
         if len(learnt) == 1:
             bt = 0
         else:
             # move the highest-level tail literal to position 1
             max_i = 1
+            q = learnt[1]
+            max_lvl = level[q if q > 0 else -q]
             for i in range(2, len(learnt)):
-                if level[var_of(learnt[i])] > level[var_of(learnt[max_i])]:
+                q = learnt[i]
+                lv = level[q if q > 0 else -q]
+                if lv > max_lvl:
                     max_i = i
+                    max_lvl = lv
             learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-            bt = level[var_of(learnt[1])]
+            bt = max_lvl
         return learnt, bt
 
     def _analyze_final(self, failed: int) -> frozenset[int]:
@@ -422,22 +483,25 @@ class Solver:
         if not self.trail_lim:
             return frozenset(core)
         seen = self._seen
-        seen[var_of(failed)] = 1
-        for i in range(len(self.trail) - 1, self.trail_lim[0] - 1, -1):
-            lit = self.trail[i]
-            v = var_of(lit)
+        level = self.level
+        reason = self.reason
+        fv = failed if failed > 0 else -failed
+        seen[fv] = 1
+        for lit in reversed(self.trail[self.trail_lim[0]:]):
+            v = lit if lit > 0 else -lit
             if not seen[v]:
                 continue
-            r = self.reason[v]
+            r = reason[v]
             if r is None:
                 # a decision below the failed assumption: an assumption itself
                 core.add(lit)
             else:
                 for q in r[1:]:
-                    if self.level[var_of(q)] > 0:
-                        seen[var_of(q)] = 1
+                    qv = q if q > 0 else -q
+                    if level[qv] > 0:
+                        seen[qv] = 1
             seen[v] = 0
-        seen[var_of(failed)] = 0
+        seen[fv] = 0
         return frozenset(core)
 
     # --- learnt clause management --------------------------------------------
@@ -530,9 +594,9 @@ class Solver:
             self.solve_time_s += time.perf_counter() - t0
 
     def _solve(self, assumptions: list[int], deadline: float | None) -> SatResult:
+        nvars = self.nvars
         for lit in assumptions:
-            v = var_of(lit)
-            if v <= 0 or v > self.nvars:
+            if not 0 < (lit if lit > 0 else -lit) <= nvars:
                 raise ValueError(f"assumption {lit} uses an unallocated variable")
         if not self.ok:
             return SatResult(False, None, frozenset())
@@ -544,20 +608,31 @@ class Solver:
         # last pass reach the literal count of the clause database
         if self.n_propagations >= self._simp_due:
             self.simplify()
+        # assumption pushes and decisions enqueue inline, as in _propagate
+        assigns = self.assigns
+        level = self.level
+        reason = self.reason
+        activity = self.activity
+        phase = self.phase
+        trail = self.trail
+        trail_lim = self.trail_lim
         heap = self._heap
+        heappop = heapq.heappop
+        propagate = self._propagate
+        n_assumptions = len(assumptions)
         conflicts_here = 0
         decisions_here = 0
         restart_idx = 1
         restart_budget = 100 * _luby(restart_idx)
         while True:
-            confl = self._propagate()
+            confl = propagate()
             if confl is not None:
                 self.n_conflicts += 1
                 conflicts_here += 1
                 if deadline is not None and conflicts_here % 256 == 0:
                     if time.perf_counter() > deadline:
                         raise SolverTimeout()
-                if not self.trail_lim:
+                if not trail_lim:
                     self.ok = False
                     return SatResult(False, None, frozenset())
                 learnt, bt = self._analyze(confl)
@@ -571,53 +646,69 @@ class Solver:
                     self._reduce_db()
                     self.max_learnts *= 1.3
                 if conflicts_here >= restart_budget:
+                    # `conflicts_here` restarts from 0, so check the deadline
+                    # here too: the % 256 check above may never come round
+                    if deadline is not None and time.perf_counter() > deadline:
+                        raise SolverTimeout()
                     conflicts_here = 0
                     restart_idx += 1
                     restart_budget = 100 * _luby(restart_idx)
                     self._cancel_until(0)
                 continue
-            if len(self.trail_lim) < len(assumptions):
-                p = assumptions[len(self.trail_lim)]
-                val = self._value(p)
+            dl = len(trail_lim)
+            if dl < n_assumptions:
+                p = assumptions[dl]
+                val = assigns[p] if p > 0 else -assigns[-p]
                 if val == TRUE:
-                    self._new_decision_level()
+                    trail_lim.append(len(trail))
                     continue
                 if val == FALSE:
                     core = self._analyze_final(p)
                     return SatResult(False, None, core)
-                self._new_decision_level()
-                self._unchecked_enqueue(p, None)
+                trail_lim.append(len(trail))
+                v = p if p > 0 else -p
+                assigns[v] = TRUE if p > 0 else FALSE
+                level[v] = dl + 1
+                reason[v] = None
+                trail.append(p)
                 continue
             # pick a branching variable
             v = 0
             while heap:
-                negact, cand = heapq.heappop(heap)
-                if self.assigns[cand] == UNDEF and -negact == self.activity[cand]:
+                negact, cand = heappop(heap)
+                if assigns[cand] == UNDEF and -negact == activity[cand]:
                     v = cand
                     break
             if v == 0:
-                assigns = list(self.assigns)
-                return SatResult(True, assigns, None)
+                return SatResult(True, list(assigns), None)
             decisions_here += 1
             if deadline is not None and decisions_here % 1024 == 0:
                 if time.perf_counter() > deadline:
                     raise SolverTimeout()
-            self._new_decision_level()
-            self._unchecked_enqueue(v if self.phase[v] else -v, None)
+            trail_lim.append(len(trail))
+            if phase[v]:
+                assigns[v] = TRUE
+                trail.append(v)
+            else:
+                assigns[v] = FALSE
+                trail.append(-v)
+            level[v] = dl + 1
+            reason[v] = None
 
 
 def _luby(i: int) -> int:
-    # Luby restart sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ...
-    k = 1
-    while (1 << (k + 1)) - 1 < i:
-        k += 1
-    while True:
-        if i == (1 << k) - 1:
-            return 1 << (k - 1)
-        i = i - (1 << (k - 1)) + 1
-        k = 1
-        while (1 << (k + 1)) - 1 < i:
-            k += 1
+    """The i-th term (from 1) of the Luby restart sequence
+    1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ..., as MiniSat's `luby` computes it."""
+    x = i - 1
+    size, seq = 1, 0
+    while size < x + 1:
+        seq += 1
+        size = 2 * size + 1
+    while size - 1 != x:
+        size = (size - 1) >> 1
+        seq -= 1
+        x %= size
+    return 1 << seq
 
 
 # --- Tseitin encoding ---------------------------------------------------------

@@ -1,16 +1,30 @@
 """Solver, Tseitin, and counting-ladder tests against brute-force oracles."""
 
+import contextlib
+import heapq
 import itertools
+import signal
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ipdr.cnf import Clause, Cube, FAnd, FIff, FNot, FOr, FVar, eval_formula, formula_vars
+import ipdr.certify
+from ipdr.cnf import Clause, Cube, FAnd, FIff, FNot, FOr, FVar, eval_formula, formula_vars, var_of
+from ipdr.incremental import ipdr_constrain, ipdr_relax
+from ipdr.pebbling import encode_pebbling, load_dag
+from ipdr.peterson import encode_peterson
 from ipdr.solver import (
+    FALSE,
+    TRUE,
+    UNDEF,
     CountingLadder,
     SatResult,
     Solver,
+    SolverTimeout,
     VarPool,
+    _luby,
     encode_at_most,
     ladder_clauses,
     model_cube,
@@ -302,6 +316,186 @@ def test_simplify_changes_no_answer_and_no_counter(script):
     without, ref = _run_script(NoSimplify, n, ops)
     assert with_simplify == without
     assert len(s.clauses) <= len(ref.clauses)
+
+
+# --- the propagation hot loop against a plain reference ----------------------------
+
+
+class ReferenceSolver(Solver):
+    """The solver with a plain `_propagate` and `_cancel_until`: a `while`
+    loop over each watch list, one `_unchecked_enqueue` call per implied
+    literal, and `var_of` on each literal. The fast versions in `Solver`
+    must make exactly the same search: the same trail, watch-list order,
+    literal positions and heap pushes."""
+
+    def _propagate(self):
+        assigns = self.assigns
+        watches = self.watches
+        trail = self.trail
+        confl = None
+        while self.qhead < len(trail):
+            p = trail[self.qhead]
+            self.qhead += 1
+            self.n_propagations += 1
+            neg_p = -p
+            wl = watches[2 * neg_p if neg_p > 0 else -2 * neg_p + 1]
+            i = 0
+            j = 0
+            n = len(wl)
+            while i < n:
+                clause = wl[i]
+                i += 1
+                if clause[0] == neg_p:
+                    clause[0] = clause[1]
+                    clause[1] = neg_p
+                first = clause[0]
+                val = assigns[first] if first > 0 else -assigns[-first]
+                if val == TRUE:
+                    wl[j] = clause
+                    j += 1
+                    continue
+                found = False
+                for k in range(2, len(clause)):
+                    lk = clause[k]
+                    vk = assigns[lk] if lk > 0 else -assigns[-lk]
+                    if vk != FALSE:
+                        clause[1] = lk
+                        clause[k] = neg_p
+                        watches[2 * lk if lk > 0 else -2 * lk + 1].append(clause)
+                        found = True
+                        break
+                if found:
+                    continue
+                wl[j] = clause
+                j += 1
+                if val == FALSE:
+                    while i < n:
+                        wl[j] = wl[i]
+                        j += 1
+                        i += 1
+                    confl = clause
+                    break
+                self._unchecked_enqueue(first, clause)
+            del wl[j:]
+            if confl is not None:
+                return confl
+        return None
+
+    def _cancel_until(self, lvl):
+        if len(self.trail_lim) <= lvl:
+            return
+        bound = self.trail_lim[lvl]
+        for i in range(len(self.trail) - 1, bound - 1, -1):
+            lit = self.trail[i]
+            v = var_of(lit)
+            self.phase[v] = lit > 0
+            self.assigns[v] = UNDEF
+            self.reason[v] = None
+            heapq.heappush(self._heap, (-self.activity[v], v))
+        del self.trail[bound:]
+        del self.trail_lim[lvl:]
+        self.qhead = bound
+        if len(self._heap) > 4 * self.nvars + 64:
+            self._rebuild_heap()
+
+
+def _watch_state(s):
+    return [[list(c) for c in wl] for wl in s.watches]
+
+
+@settings(max_examples=120, deadline=None)
+@given(incremental_scripts())
+def test_propagation_makes_the_reference_search(script):
+    n, ops = script
+    fast, s = _run_script(Solver, n, ops)
+    plain, ref = _run_script(ReferenceSolver, n, ops)
+    assert fast == plain
+    assert _watch_state(s) == _watch_state(ref)
+    assert s._heap == ref._heap
+
+
+def test_propagation_leaves_the_sweeps_unchanged(monkeypatch):
+    diamond = load_dag(str(Path(__file__).parent.parent / "benchmarks" / "diamond.dag"))
+
+    def sweeps(cls):
+        made = []
+
+        class Recording(cls):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(ipdr.certify, "Solver", Recording)
+        outs = [
+            ipdr_relax(encode_peterson(2, [0, 1, 2])),
+            ipdr_constrain(encode_pebbling(diamond, [1, 2, 3, 4], "constraining")),
+        ]
+        rows = [
+            ([(r.instance_label, r.verdict_kind, r.sat_calls) for r in o.per_instance_stats],
+             o.verdict)
+            for o in outs
+        ]
+        return rows, [(s.n_solves, s.n_propagations, s.n_conflicts) for s in made]
+
+    fast = sweeps(Solver)
+    plain = sweeps(ReferenceSolver)
+    assert sum(c for _, _, c in plain[1]) > 0
+    assert fast == plain
+
+
+# --- restarts ------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError instead of hanging past `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def pigeonhole(pigeons, holes):
+    s = Solver()
+    p = [s.fresh_vars(holes) for _ in range(pigeons)]
+    for row in p:
+        s.add_clause(row)
+    for j in range(holes):
+        for a in range(pigeons):
+            for b in range(a + 1, pigeons):
+                s.add_clause([-p[a][j], -p[b][j]])
+    return s
+
+
+def test_luby_sequence():
+    with time_limit(5):
+        prefix = [_luby(i) for i in range(1, 32)]
+    assert prefix == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8,
+                      1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, 16]
+
+
+def test_search_goes_on_past_the_first_restart():
+    s = pigeonhole(6, 5)
+    with time_limit(30):
+        r = s.solve()
+    assert not r.sat
+    assert s.n_conflicts > 100  # the first restart comes at conflict 100
+
+
+def test_restart_checks_the_deadline():
+    s = pigeonhole(8, 7)
+    with time_limit(30), pytest.raises(SolverTimeout):
+        s.solve(deadline=time.perf_counter() - 1.0)
+    # the first deadline check that comes round is the one at the first
+    # restart; the per-256-conflict and per-1024-decision ones come later
+    assert s.n_conflicts == 100
 
 
 # --- Tseitin -------------------------------------------------------------------
