@@ -19,11 +19,19 @@ decision steps of `_solve` assign literals inline instead of calling
 `_unchecked_enqueue`; `_propagate` walks each watch list once with `for`,
 compacting it in place, and looks at the single candidate of a ternary
 clause without a loop; `_cancel_until`, `_analyze` and `_analyze_final`
-take a literal's variable inline. None of this may move the search, which
+take a literal's variable inline. Each variable's heap key, the tuple
+(-activity, v), is built once per change of its activity and kept in
+`_key`, so a push builds no tuple. A SAT answer clears the decision heap
+instead of popping it empty: once every variable is assigned, every heap
+entry is stale, so the pops would leave the same empty heap, which
+`_cancel_until(0)` then refills. None of this may move the search, which
 depends on two things the code does not show:
 
 - the order of the `heapq` calls: the decision heap is not kept sifted
-  (see `fresh_var`), so the order of pushes and pops picks the decisions;
+  (see `fresh_var`), so the order of pushes and pops picks the decisions.
+  For the same reason `_cancel_until` must push every variable it
+  unassigns, even one whose entry is still live: without the duplicate
+  pushes the heap layout changes, and with it the decisions;
 - the position of each literal in a clause: `clause[0]` is the literal a
   reason clause implies (`_analyze` reads it) and the watch search visits
   `clause[2:]` in order.
@@ -133,7 +141,10 @@ class Solver:
         self.var_decay = 0.95
         self.cla_inc = 1.0
         self.cla_decay = 0.999
+        # the decision heap holds `_key[v]`, which is (-activity[v], v) and is
+        # replaced whenever activity[v] changes
         self._heap: list[tuple[float, int]] = []
+        self._key: list[tuple[float, int]] = [(0.0, 0)]
         self.max_learnts = 4000.0
         # level-0 simplification (MiniSat's simpDB_assigns / simpDB_props):
         # the trail length at the last pass, and the propagation count at
@@ -157,6 +168,8 @@ class Solver:
         self.reason.append(None)
         jitter = self._rng.random() * 1e-9
         self.activity.append(jitter)
+        key = (-jitter, v)
+        self._key.append(key)
         self.phase.append(False)
         self._seen.append(0)
         self.watches.append([])
@@ -166,7 +179,7 @@ class Solver:
         # decision order depends on it. A `heappush` here raised the lock3
         # relax sweep from 4,708 to 7,313 SAT calls; the measurement is under
         # "Measured and parked" in ROADMAP.md.
-        self._heap.append((-self.activity[v], v))
+        self._heap.append(key)
         return v
 
     def set_phases(self, lits: Iterable[int]) -> None:
@@ -191,9 +204,6 @@ class Solver:
     def _lit_idx(self, lit: int) -> int:
         return 2 * lit if lit > 0 else -2 * lit + 1
 
-    def _value(self, lit: int) -> int:
-        return self.assigns[lit] if lit > 0 else -self.assigns[-lit]
-
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a clause; it is never retracted. Returns False iff the clause set became
         unsatisfiable outright. Clauses may only be added at decision level
@@ -203,23 +213,25 @@ class Solver:
         assert not self.trail_lim, "clauses may only be added between solves"
         if not self.ok:
             return False
+        assigns = self.assigns
+        nvars = self.nvars
         simplified: list[int] = []
-        seen_here: dict[int, int] = {}
+        here: set[int] = set()  # the literals kept so far
         for lit in lits:
             lit = int(lit)
-            v = var_of(lit)
-            if v <= 0 or v > self.nvars:
+            v = lit if lit > 0 else -lit
+            if not 0 < v <= nvars:
                 raise ValueError(f"literal {lit} uses an unallocated variable")
-            if v in seen_here:
-                if seen_here[v] != lit:
-                    return True  # tautology: x and -x together
+            if lit in here:
                 continue
-            val = self._value(lit)
+            if -lit in here:
+                return True  # tautology: x and -x together
+            val = assigns[v] if lit > 0 else -assigns[v]
             if val == TRUE:
                 return True  # satisfied forever at level 0
             if val == FALSE:
                 continue  # falsified forever, drop literal
-            seen_here[v] = lit
+            here.add(lit)
             simplified.append(lit)
         if not simplified:
             self.ok = False
@@ -264,7 +276,7 @@ class Solver:
         phase = self.phase
         reason = self.reason
         heap = self._heap
-        activity = self.activity
+        key = self._key
         push = heapq.heappush
         trail = self.trail
         for lit in reversed(trail[bound:]):
@@ -276,7 +288,7 @@ class Solver:
                 phase[v] = False
             assigns[v] = UNDEF
             reason[v] = None
-            push(heap, (-activity[v], v))
+            push(heap, key[v])
         del trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = bound
@@ -285,22 +297,28 @@ class Solver:
 
     def _rebuild_heap(self) -> None:
         # in place: `_solve` holds the list for the whole search
-        self._heap[:] = [
-            (-self.activity[v], v) for v in range(1, self.nvars + 1) if self.assigns[v] == UNDEF
-        ]
+        key = self._key
+        assigns = self.assigns
+        self._heap[:] = [key[v] for v in range(1, self.nvars + 1) if assigns[v] == UNDEF]
         heapq.heapify(self._heap)
 
     # --- activity --------------------------------------------------------------
 
     def _var_bump(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            for i in range(1, self.nvars + 1):
-                self.activity[i] *= 1e-100
+        activity = self.activity
+        act = activity[v] + self.var_inc
+        activity[v] = act
+        if act > 1e100:
+            nvars = self.nvars
+            for i in range(1, nvars + 1):
+                activity[i] *= 1e-100
             self.var_inc *= 1e-100
+            self._key[1:] = [(-activity[i], i) for i in range(1, nvars + 1)]
             self._rebuild_heap()
-        elif self.assigns[v] == UNDEF:
-            heapq.heappush(self._heap, (-self.activity[v], v))
+            return
+        key = self._key[v] = (-act, v)
+        if self.assigns[v] == UNDEF:
+            heapq.heappush(self._heap, key)
 
     def _var_decay_apply(self) -> None:
         self.var_inc /= self.var_decay
@@ -673,14 +691,16 @@ class Solver:
                 trail.append(p)
                 continue
             # pick a branching variable
-            v = 0
-            while heap:
-                negact, cand = heappop(heap)
-                if assigns[cand] == UNDEF and -negact == activity[cand]:
-                    v = cand
-                    break
-            if v == 0:
+            if len(trail) == nvars:
+                # every variable is assigned, so every heap entry is stale:
+                # popping them all would leave this same empty heap
+                heap.clear()
                 return SatResult(True, list(assigns), None)
+            # every unassigned variable has an entry with its current key
+            while True:
+                negact, v = heappop(heap)
+                if assigns[v] == UNDEF and -negact == activity[v]:
+                    break
             decisions_here += 1
             if deadline is not None and decisions_here % 1024 == 0:
                 if time.perf_counter() > deadline:

@@ -322,11 +322,14 @@ def test_simplify_changes_no_answer_and_no_counter(script):
 
 
 class ReferenceSolver(Solver):
-    """The solver with a plain `_propagate` and `_cancel_until`: a `while`
-    loop over each watch list, one `_unchecked_enqueue` call per implied
-    literal, and `var_of` on each literal. The fast versions in `Solver`
-    must make exactly the same search: the same trail, watch-list order,
-    literal positions and heap pushes."""
+    """The solver with a plain `_propagate`, `_cancel_until`, `_solve`,
+    `_var_bump` and `_rebuild_heap`: a `while` loop over each watch list,
+    one `_unchecked_enqueue` call per assigned literal, `var_of` on each
+    literal, a fresh (-activity, v) tuple for each heap entry, and a
+    decision step that pops the heap until a live entry comes up or the heap
+    is empty, so a SAT answer drains the heap. It ignores deadlines. The
+    fast versions in `Solver` must make exactly the same search: the same
+    trail, watch-list order, literal positions and heap."""
 
     def _propagate(self):
         assigns = self.assigns
@@ -398,6 +401,76 @@ class ReferenceSolver(Solver):
         if len(self._heap) > 4 * self.nvars + 64:
             self._rebuild_heap()
 
+    def _rebuild_heap(self):
+        self._heap[:] = [
+            (-self.activity[v], v) for v in range(1, self.nvars + 1) if self.assigns[v] == UNDEF
+        ]
+        heapq.heapify(self._heap)
+
+    def _var_bump(self, v):
+        self.activity[v] += self.var_inc
+        if self.activity[v] > 1e100:
+            for i in range(1, self.nvars + 1):
+                self.activity[i] *= 1e-100
+            self.var_inc *= 1e-100
+            self._rebuild_heap()
+        elif self.assigns[v] == UNDEF:
+            heapq.heappush(self._heap, (-self.activity[v], v))
+
+    def _solve(self, assumptions, deadline):
+        for lit in assumptions:
+            if not 0 < var_of(lit) <= self.nvars:
+                raise ValueError(f"assumption {lit} uses an unallocated variable")
+        if not self.ok:
+            return SatResult(False, None, frozenset())
+        if self._propagate() is not None:
+            self.ok = False
+            return SatResult(False, None, frozenset())
+        if self.n_propagations >= self._simp_due:
+            self.simplify()
+        conflicts_here = 0
+        restart_idx = 1
+        while True:
+            confl = self._propagate()
+            if confl is not None:
+                self.n_conflicts += 1
+                conflicts_here += 1
+                if not self.trail_lim:
+                    self.ok = False
+                    return SatResult(False, None, frozenset())
+                learnt, bt = self._analyze(confl)
+                self._cancel_until(bt)
+                self._record_learnt(learnt)
+                self._var_decay_apply()
+                self.cla_inc /= self.cla_decay
+                if len(self.learnts) >= self.max_learnts:
+                    self._reduce_db()
+                    self.max_learnts *= 1.3
+                if conflicts_here >= 100 * _luby(restart_idx):
+                    conflicts_here = 0
+                    restart_idx += 1
+                    self._cancel_until(0)
+                continue
+            if len(self.trail_lim) < len(assumptions):
+                p = assumptions[len(self.trail_lim)]
+                val = self.assigns[var_of(p)] * (1 if p > 0 else -1)
+                if val == FALSE:
+                    return SatResult(False, None, self._analyze_final(p))
+                self.trail_lim.append(len(self.trail))
+                if val == UNDEF:
+                    self._unchecked_enqueue(p, None)
+                continue
+            v = 0
+            while self._heap:
+                negact, cand = heapq.heappop(self._heap)
+                if self.assigns[cand] == UNDEF and -negact == self.activity[cand]:
+                    v = cand
+                    break
+            if v == 0:
+                return SatResult(True, list(self.assigns), None)
+            self.trail_lim.append(len(self.trail))
+            self._unchecked_enqueue(v if self.phase[v] else -v, None)
+
 
 def _watch_state(s):
     return [[list(c) for c in wl] for wl in s.watches]
@@ -410,6 +483,99 @@ def test_propagation_makes_the_reference_search(script):
     fast, s = _run_script(Solver, n, ops)
     plain, ref = _run_script(ReferenceSolver, n, ops)
     assert fast == plain
+    assert _watch_state(s) == _watch_state(ref)
+    assert s._heap == ref._heap
+    assert s._key == [(-a, v) for v, a in enumerate(s.activity)]
+
+
+def _moved_watch_conflict(cls):
+    """A solver whose next `_propagate` assigns x false and then walks the
+    watch list of x: the first two clauses move their watch to a free
+    literal, the third has both other literals false and conflicts, and a
+    fourth comes after it."""
+    s = cls(seed=0)
+    x, u, w, a, y1, z1, y2, z2, y4, z4 = s.fresh_vars(10)
+    s.add_clause([x, y1, z1])
+    s.add_clause([x, y2, z2])
+    s.add_clause([x, u, w])
+    s.add_clause([x, y4, z4])
+    s.add_clause([-a, -x])
+    s.add_clause([-a, -u])
+    for lit in (-w, a):  # two decision levels, as two assumptions make them
+        s.trail_lim.append(len(s.trail))
+        s._unchecked_enqueue(lit, None)
+    return s
+
+
+def test_conflict_after_moved_watches_keeps_the_rest_of_the_watch_list():
+    s = _moved_watch_conflict(Solver)
+    ref = _moved_watch_conflict(ReferenceSolver)
+    confl = s._propagate()
+    ref_confl = ref._propagate()
+    assert confl is s.clauses[2] and ref_confl is ref.clauses[2]
+    assert confl == ref_confl == [2, 1, 3]  # u, x, w: x swapped to position 1
+    # both moved clauses left the watch list of x; the one after the
+    # conflict stayed
+    assert [list(c) for c in s.watches[s._lit_idx(1)]] == [[2, 1, 3], [1, 9, 10]]
+    assert s.trail == ref.trail == [-3, 4, -1, -2]
+    assert (s.qhead, s.n_propagations) == (ref.qhead, ref.n_propagations)
+    assert _watch_state(s) == _watch_state(ref)
+
+
+class ReductionChecked:
+    """Checks at each `_reduce_db` that no clause it drops is the reason of
+    an assigned variable or still sits in a watch list."""
+
+    reductions = 0
+    dropped = 0
+
+    def _reduce_db(self):
+        reasons = {id(r) for r in self.reason if r is not None}
+        before = {id(c) for c in self.learnts}
+        super()._reduce_db()
+        dropped = before - {id(c) for c in self.learnts}
+        assert not dropped & reasons
+        assert not dropped & {id(c) for wl in self.watches for c in wl}
+        self.reductions += 1
+        self.dropped += len(dropped)
+
+
+class ReducingSolver(ReductionChecked, Solver):
+    pass
+
+
+class ReducingReference(ReductionChecked, ReferenceSolver):
+    pass
+
+
+def _reduced_pigeonhole(cls):
+    """PHP(6,5) with one activation literal per pigeon and a learnt-clause
+    limit of 20, so that `_reduce_db` runs many times in one search."""
+    s = cls(seed=0)
+    s.max_learnts = 20
+    p = [s.fresh_vars(5) for _ in range(6)]
+    acts = s.fresh_vars(6)
+    for act, row in zip(acts, p):
+        s.add_clause([-act, *row])
+    for j in range(5):
+        for a in range(6):
+            for b in range(a + 1, 6):
+                s.add_clause([-p[a][j], -p[b][j]])
+    out = []
+    for assumptions in (acts, acts[:5], acts[1:]):
+        r = s.solve(assumptions)
+        model = [r.value(v) for v in range(1, s.nvars + 1)] if r.sat else None
+        out.append((r.sat, model, r.core, s.n_propagations, s.n_conflicts))
+    return out, s
+
+
+def test_learnt_clause_reduction_makes_the_reference_search():
+    fast, s = _reduced_pigeonhole(ReducingSolver)
+    plain, ref = _reduced_pigeonhole(ReducingReference)
+    assert [sat for sat, *_ in fast] == [False, True, True]
+    assert fast == plain
+    assert s.reductions == ref.reductions > 0 and s.dropped == ref.dropped > 0
+    assert s.learnts == ref.learnts
     assert _watch_state(s) == _watch_state(ref)
     assert s._heap == ref._heap
 
@@ -677,3 +843,14 @@ def test_heap_rebuild_keeps_the_list_the_search_holds():
     assert s._heap is heap
     assert sorted(v for _, v in heap) == [1, 2, 3, 4]
     assert heap[0] == (-s.activity[2], 2)
+
+
+def test_activity_rescale_refreshes_every_heap_key():
+    s = make_solver(4, [[1, 2], [-1, 3]])
+    heap = s._heap
+    s.var_inc = 2e100
+    s._var_bump(3)
+    assert s.activity[3] < 3.0 and s.var_inc < 3.0  # scaled by 1e-100
+    assert s._key == [(-a, v) for v, a in enumerate(s.activity)]
+    assert s._heap is heap and heap[0] == s._key[3]
+    assert sorted(heap) == sorted(s._key[1:])
