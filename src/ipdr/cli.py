@@ -13,9 +13,9 @@ certify its own output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .certify import check_invariant, check_trace
@@ -29,40 +29,20 @@ from .engine import (
 )
 from .incremental import (
     IpdrOutcome,
+    OptimizationResult,
     ipdr_binary,
     ipdr_constrain,
     ipdr_relax,
     naive_driver,
 )
-from .pebbling import decode_pebbling_trace, encode_pebbling, load_dag
+from .pebbling import Dag, decode_pebbling_trace, encode_pebbling, load_dag
 from .peterson import describe_state, encode_peterson
 from .solver import SolverTimeout
-from .stats import RunStats, aggregate, emit_aggregate_csv, emit_csv, parse_csv
+from .stats import (METRIC_COLUMNS, RunStats, aggregate, emit_aggregate_csv,
+                    emit_csv, parse_csv)
 from .system import Instance, InstanceFamily, State, parse_explicit_family
 
 STRATEGIES = ("naive", "constrain", "relax", "binary")
-
-
-@dataclass
-class RunConfig:
-    strategy: str
-    pdr: PdrConfig
-    stats_path: str | None = None
-    output_path: str | None = None
-
-
-def _config(args, default_strategy: str) -> RunConfig:
-    return RunConfig(
-        strategy=args.strategy or default_strategy,
-        pdr=PdrConfig(
-            seed=args.seed,
-            max_k=args.max_k,
-            timeout_s=args.timeout_s,
-            debug_invariants=args.debug_invariants,
-        ),
-        stats_path=args.stats,
-        output_path=args.output,
-    )
 
 
 # --- emission ----------------------------------------------------------------------
@@ -76,19 +56,11 @@ def _invariant_doc(inv: Invariant) -> dict:
     return {"level": inv.level, "clauses": [list(c.lits) for c in inv.clauses]}
 
 
-def _emit(doc: dict, cfg: RunConfig) -> None:
+def _emit(doc: dict, args) -> None:
     text = json.dumps(doc, indent=2)
     print(text)
-    if cfg.output_path:
-        Path(cfg.output_path).write_text(text + "\n")
-
-
-def _emit_stats(rows, cfg: RunConfig, problem: str) -> list[dict]:
-    for r in rows:
-        r.problem = problem
-    if cfg.stats_path:
-        Path(cfg.stats_path).write_text(emit_csv(list(rows)))
-    return [r.as_record() for r in rows]
+    if args.output:
+        Path(args.output).write_text(text + "\n")
 
 
 def _outcome_doc(outcome: IpdrOutcome, problem: dict) -> dict:
@@ -106,209 +78,15 @@ def _outcome_doc(outcome: IpdrOutcome, problem: dict) -> dict:
     return doc
 
 
-def _oriented(family: InstanceFamily, direction: str) -> InstanceFamily:
-    if family.direction == direction:
-        return family
-    return InstanceFamily(
-        family.system, tuple(reversed(family.instances)), direction
-    )
-
-
-def _sweep(family: InstanceFamily, cfg: RunConfig) -> IpdrOutcome:
-    if cfg.strategy == "relax":
-        return ipdr_relax(_oriented(family, "relaxing"), cfg.pdr)
-    if cfg.strategy == "constrain":
-        return ipdr_constrain(_oriented(family, "constraining"), cfg.pdr)
-    if cfg.strategy == "naive":
-        return naive_driver(family, cfg.pdr)
-    raise UsageError(f"strategy {cfg.strategy!r} does not produce a sweep verdict")
-
-
-# --- solve -------------------------------------------------------------------------
-
-
-def cmd_solve(args) -> int:
-    cfg = _config(args, default_strategy="")
-    path = Path(args.input)
-    try:
-        family = parse_explicit_family(path.read_text())
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    single = len(family.instances) == 1
-    if not cfg.strategy:
-        cfg.strategy = "naive" if single else (
-            "constrain" if family.direction == "constraining" else "relax"
-        )
-    problem = {
-        "kind": "system" if single else "family",
-        "source": str(path),
-        "direction": family.direction,
-        "strategy": cfg.strategy,
-    }
-    try:
-        outcome = _sweep(family, cfg)
-    except (BudgetExceeded, SolverTimeout) as e:
-        _emit({"result": "unknown", "problem": problem, "error": str(e)}, cfg)
-        return 2
-    doc = _outcome_doc(outcome, problem)
-    doc["stats"] = _emit_stats(outcome.per_instance_stats, cfg, path.stem)
-    _emit(doc, cfg)
-    return 0 if doc["result"] == "holds" else 1
-
-
-# --- pebble ------------------------------------------------------------------------
-
-
-def _parse_span(text: str, what: str) -> tuple[int, int]:
-    parts = text.split("..")
-    try:
-        if len(parts) == 1:
-            v = int(parts[0])
-            return v, v
-        if len(parts) == 2:
-            return int(parts[0]), int(parts[1])
-    except ValueError:
-        pass
-    raise UsageError(f"bad {what} range {text!r}; expected N or LO..HI")
-
-
-def _label_param(label: str) -> int:
-    return int(label.lstrip("pl"))
-
-
-def cmd_pebble(args) -> int:
-    cfg = _config(args, default_strategy="binary")
-    try:
-        dag = load_dag(args.input)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    lo, hi = (
-        _parse_span(args.pebbles, "pebble")
-        if args.pebbles
-        else (1, len(dag.nodes))
-    )
-    budgets = list(range(lo, hi + 1))
-    problem = {
-        "kind": "pebbling",
-        "source": args.input,
-        "pebbles": [lo, hi],
-        "strategy": cfg.strategy,
-    }
-    doc: dict = {"problem": problem}
-    optimum = None
-    trace = invariant = None
-    trace_label = invariant_label = None
-    try:
-        if cfg.strategy == "binary":
-            res = ipdr_binary(encode_pebbling(dag, budgets), cfg.pdr)
-            rows = list(res.per_instance_stats)
-            optimum = res.optimum
-            trace, invariant = res.witness_trace, res.impossibility_invariant
-            if optimum is not None:
-                trace_label = f"p{optimum}"
-                if invariant is not None:
-                    invariant_label = f"p{optimum - 1}"
-            elif invariant is not None:
-                invariant_label = f"p{hi}"
-        else:
-            direction = "constraining" if cfg.strategy == "constrain" else "relaxing"
-            outcome = _sweep(encode_pebbling(dag, budgets, direction), cfg)
-            rows = list(outcome.per_instance_stats)
-            trace_rows = [r for r in rows if r.verdict_kind == "trace"]
-            if trace_rows:
-                optimum = min(_label_param(r.instance_label) for r in trace_rows)
-                trace = outcome.last_trace
-                trace_label = f"p{optimum}"
-            if isinstance(outcome.verdict, Invariant):
-                invariant = outcome.verdict
-                invariant_label = outcome.final_parameter
-            else:
-                inv_rows = [r for r in rows if r.verdict_kind == "invariant"]
-                if inv_rows:
-                    invariant_label = inv_rows[-1].instance_label
-    except (BudgetExceeded, SolverTimeout) as e:
-        doc.update({"result": "unknown", "error": str(e)})
-        _emit(doc, cfg)
-        return 2
-    doc["result"] = "optimum" if optimum is not None else "no-strategy"
-    doc["optimum"] = optimum
-    doc["impossibility_level"] = (
-        _label_param(invariant_label) if invariant_label else None
-    )
-    if trace is not None:
-        schedule = decode_pebbling_trace(trace, dag)
-        doc["schedule"] = {
-            "steps": [
-                {"place": list(s.placed), "remove": list(s.removed)}
-                for s in schedule.steps
-            ],
-            "max_pebbles": schedule.max_pebbles,
-        }
-        doc["trace"] = _trace_doc(trace)
-        doc["trace_instance"] = trace_label
-    if invariant is not None:
-        doc["invariant"] = _invariant_doc(invariant)
-        doc["invariant_instance"] = invariant_label
-    doc["stats"] = _emit_stats(rows, cfg, Path(args.input).stem)
-    _emit(doc, cfg)
-    return 0 if optimum is not None else 1
-
-
-# --- peterson ----------------------------------------------------------------------
-
-
-def cmd_peterson(args) -> int:
-    cfg = _config(args, default_strategy="relax")
-    if cfg.strategy not in ("relax", "naive"):
-        print(
-            f"error: peterson verification sweeps bounds; strategy"
-            f" {cfg.strategy!r} is not a sweep",
-            file=sys.stderr,
-        )
-        return 2
-    lo, hi = _parse_span(args.switches, "switch")
-    if ".." not in args.switches:
-        lo = 0
-    bounds = list(range(lo, hi + 1))
-    problem = {
-        "kind": "peterson",
-        "procs": args.procs,
-        "switches": [lo, hi],
-        "strategy": cfg.strategy,
-        "remove_wait_condition": args.remove_wait_condition,
-    }
-    family = encode_peterson(
-        args.procs, bounds, remove_wait_condition=args.remove_wait_condition
-    )
-    try:
-        outcome = _sweep(family, cfg)
-    except (BudgetExceeded, SolverTimeout) as e:
-        _emit({"result": "unknown", "problem": problem, "error": str(e)}, cfg)
-        return 2
-    doc = _outcome_doc(outcome, problem)
-    if isinstance(outcome.verdict, Trace):
-        doc["interleaving"] = [
-            describe_state(family.system, s) for s in outcome.verdict.states
-        ]
-    doc["stats"] = _emit_stats(
-        outcome.per_instance_stats, cfg, f"peterson{args.procs}"
-    )
-    _emit(doc, cfg)
-    return 0 if doc["result"] == "holds" else 1
-
-
-# --- validate ----------------------------------------------------------------------
-
-
-def _rebuild_family(problem: dict) -> InstanceFamily:
+def _family(problem: dict, dag: Dag | None = None) -> InstanceFamily:
+    """The family a verdict document's `problem` names; `dag` is the
+    pebbling source when the caller has loaded it already."""
     kind = problem["kind"]
     if kind in ("system", "family"):
         return parse_explicit_family(Path(problem["source"]).read_text())
     if kind == "pebbling":
         lo, hi = problem["pebbles"]
-        return encode_pebbling(load_dag(problem["source"]), list(range(lo, hi + 1)))
+        return encode_pebbling(dag or load_dag(problem["source"]), list(range(lo, hi + 1)))
     if kind == "peterson":
         lo, hi = problem["switches"]
         return encode_peterson(
@@ -317,6 +95,181 @@ def _rebuild_family(problem: dict) -> InstanceFamily:
             remove_wait_condition=problem.get("remove_wait_condition", False),
         )
     raise ValueError(f"unknown problem kind {kind!r}")
+
+
+def _drive(
+    family: InstanceFamily, strategy: str, pdr: PdrConfig
+) -> IpdrOutcome | OptimizationResult:
+    """Run one strategy; constrain and relax first reorder the family to
+    the direction their repair needs."""
+    if strategy == "binary":
+        return ipdr_binary(family, pdr)
+    if strategy == "naive":
+        return naive_driver(family, pdr)
+    direction = "constraining" if strategy == "constrain" else "relaxing"
+    if family.direction != direction:
+        family = InstanceFamily(
+            family.system, tuple(reversed(family.instances)), direction
+        )
+    return (ipdr_constrain if strategy == "constrain" else ipdr_relax)(family, pdr)
+
+
+def _pdr(args, seed: int) -> PdrConfig:
+    return PdrConfig(
+        seed=seed,
+        max_k=args.max_k,
+        timeout_s=args.timeout_s,
+        debug_invariants=args.debug_invariants,
+    )
+
+
+def _run(args, problem: dict, family: InstanceFamily, name: str, report) -> int:
+    """Run problem["strategy"] and emit `report(result, problem)` with the
+    stats rows of `name`; a frontier cap or timeout emits `unknown`."""
+    try:
+        result = _drive(family, problem["strategy"], _pdr(args, args.seed))
+    except (BudgetExceeded, SolverTimeout) as e:
+        _emit({"result": "unknown", "problem": problem, "error": str(e)}, args)
+        return 2
+    doc = report(result, problem)
+    rows = list(result.per_instance_stats)
+    for r in rows:
+        r.problem = name
+    if args.stats:
+        Path(args.stats).write_text(emit_csv(rows))
+    doc["stats"] = [r.as_record() for r in rows]
+    _emit(doc, args)
+    return 0 if doc["result"] in ("holds", "optimum") else 1
+
+
+# --- solve -------------------------------------------------------------------------
+
+
+def cmd_solve(args) -> int:
+    path = Path(args.input)
+    problem = {"kind": "family", "source": str(path)}
+    try:
+        family = _family(problem)
+    except (OSError, ValueError) as e:
+        raise UsageError(e) from e
+    single = len(family.instances) == 1
+    strategy = args.strategy or (
+        "naive" if single
+        else "constrain" if family.direction == "constraining"
+        else "relax"
+    )
+    if strategy == "binary":
+        raise UsageError("strategy 'binary' does not produce a sweep verdict")
+    problem.update(
+        kind="system" if single else "family",
+        direction=family.direction,
+        strategy=strategy,
+    )
+    return _run(args, problem, family, path.stem, _outcome_doc)
+
+
+# --- pebble ------------------------------------------------------------------------
+
+
+def _parse_span(text: str, what: str) -> tuple[int, int]:
+    parts = text.split("..")
+    try:
+        if len(parts) <= 2:
+            return int(parts[0]), int(parts[-1])
+    except ValueError:
+        pass
+    raise UsageError(f"bad {what} range {text!r}; expected N or LO..HI")
+
+
+def cmd_pebble(args) -> int:
+    try:
+        dag = load_dag(args.input)
+    except (OSError, ValueError) as e:
+        raise UsageError(e) from e
+    lo, hi = (
+        _parse_span(args.pebbles, "pebble")
+        if args.pebbles
+        else (1, len(dag.nodes))
+    )
+    problem = {
+        "kind": "pebbling",
+        "source": args.input,
+        "pebbles": [lo, hi],
+        "strategy": args.strategy or "binary",
+    }
+    family = _family(problem, dag)
+    params = {inst.label: inst.param for inst in family.instances}
+
+    def report(result, problem: dict) -> dict:
+        # the optimum is the least budget with a trace, the impossibility
+        # level the greatest with an invariant
+        if isinstance(result, OptimizationResult):
+            trace, invariant = result.witness_trace, result.impossibility_invariant
+        else:
+            trace = result.last_trace
+            invariant = result.verdict if isinstance(result.verdict, Invariant) else None
+        rows = result.per_instance_stats
+        traced = [r.instance_label for r in rows if r.verdict_kind == "trace"]
+        held = [r.instance_label for r in rows if r.verdict_kind == "invariant"]
+        trace_label = min(traced, key=params.__getitem__, default=None)
+        invariant_label = max(held, key=params.__getitem__, default=None)
+        optimum = params.get(trace_label)
+        doc: dict = {
+            "problem": problem,
+            "result": "optimum" if optimum is not None else "no-strategy",
+            "optimum": optimum,
+            "impossibility_level": params.get(invariant_label),
+        }
+        if trace is not None:
+            schedule = decode_pebbling_trace(trace, dag)
+            doc["schedule"] = {
+                "steps": [
+                    {"place": list(s.placed), "remove": list(s.removed)}
+                    for s in schedule.steps
+                ],
+                "max_pebbles": schedule.max_pebbles,
+            }
+            doc["trace"] = _trace_doc(trace)
+            doc["trace_instance"] = trace_label
+        if invariant is not None:
+            doc["invariant"] = _invariant_doc(invariant)
+            doc["invariant_instance"] = invariant_label
+        return doc
+
+    return _run(args, problem, family, Path(args.input).stem, report)
+
+
+# --- peterson ----------------------------------------------------------------------
+
+
+def cmd_peterson(args) -> int:
+    strategy = args.strategy or "relax"
+    if strategy not in ("relax", "naive"):
+        raise UsageError(f"peterson sweeps bounds; strategy {strategy!r} is not a sweep")
+    lo, hi = _parse_span(args.switches, "switch")
+    if ".." not in args.switches:
+        lo = 0
+    problem = {
+        "kind": "peterson",
+        "procs": args.procs,
+        "switches": [lo, hi],
+        "strategy": strategy,
+        "remove_wait_condition": args.remove_wait_condition,
+    }
+    family = _family(problem)
+
+    def report(outcome: IpdrOutcome, problem: dict) -> dict:
+        doc = _outcome_doc(outcome, problem)
+        if isinstance(outcome.verdict, Trace):
+            doc["interleaving"] = [
+                describe_state(family.system, s) for s in outcome.verdict.states
+            ]
+        return doc
+
+    return _run(args, problem, family, f"peterson{args.procs}", report)
+
+
+# --- validate ----------------------------------------------------------------------
 
 
 def _instance_by_label(family: InstanceFamily, label: str) -> Instance:
@@ -329,26 +282,26 @@ def _instance_by_label(family: InstanceFamily, label: str) -> Instance:
 def cmd_validate(args) -> int:
     try:
         doc = json.loads(Path(args.verdict).read_text())
-        family = _rebuild_family(doc["problem"])
+        family = _family(doc["problem"])
+        if "trace" not in doc and "invariant" not in doc:
+            raise ValueError("verdict carries neither a trace nor an invariant")
         checks: dict[str, bool] = {}
-        checked = False
         if "trace" in doc:
             label = doc.get("trace_instance") or doc["instance"]
             states = [State.from_bits(b) for b in doc["trace"]["states"]]
             checks.update(check_trace(_instance_by_label(family, label), states))
-            checked = True
         if "invariant" in doc:
             label = doc.get("invariant_instance") or doc["instance"]
-            clauses = [Clause(lits) for lits in doc["invariant"]["clauses"]]
+            lits = doc["invariant"]["clauses"]
+            # JSON true and false are Python ints too
+            if any(type(lit) is not int for c in lits for lit in c):
+                raise ValueError("invariant literals must be integers")
+            clauses = [Clause(c) for c in lits]
             checks.update(
                 check_invariant(_instance_by_label(family, label), clauses)
             )
-            checked = True
-        if not checked:
-            raise ValueError("verdict carries neither a trace nor an invariant")
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise UsageError(e) from e
     valid = all(checks.values())
     print(json.dumps({"valid": valid, "checks": checks}, indent=2))
     return 0 if valid else 1
@@ -357,57 +310,47 @@ def cmd_validate(args) -> int:
 # --- bench -------------------------------------------------------------------------
 
 
-def _bench_family(path: Path, strategy: str) -> InstanceFamily:
-    if path.suffix in (".dag", ".tfc"):
-        dag = load_dag(str(path))
-        direction = "constraining" if strategy == "constrain" else "relaxing"
-        return encode_pebbling(dag, list(range(1, len(dag.nodes) + 1)), direction)
-    return parse_explicit_family(path.read_text())
-
-
 def cmd_bench(args) -> int:
-    cfg = _config(args, default_strategy="")
     suite = Path(args.suite)
-    inputs = sorted(
-        p for p in suite.iterdir() if p.suffix in (".dag", ".tfc", ".sys")
-    )
+    try:
+        inputs = sorted(
+            p for p in suite.iterdir() if p.suffix in (".dag", ".tfc", ".sys")
+        )
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except (OSError, ValueError) as e:
+        raise UsageError(e) from e
     if not inputs:
-        print(f"error: no .dag/.tfc/.sys inputs in {suite}", file=sys.stderr)
-        return 2
+        raise UsageError(f"no .dag/.tfc/.sys inputs in {suite}")
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     for s in strategies:
         if s not in STRATEGIES:
-            print(f"error: unknown strategy {s!r}", file=sys.stderr)
-            return 2
-    seeds = [int(s) for s in args.seeds.split(",")]
+            raise UsageError(f"unknown strategy {s!r}")
     rows: list[RunStats] = []
     failures = 0
-    for path in inputs:
-        for strategy in strategies:
-            for seed in seeds:
-                cell = RunConfig(strategy, replace(cfg.pdr, seed=seed))
-                try:
-                    family = _bench_family(path, strategy)
-                    if strategy == "binary":
-                        got = list(ipdr_binary(family, cell.pdr).per_instance_stats)
-                    else:
-                        got = list(_sweep(family, cell).per_instance_stats)
-                except Exception as e:  # record the cell, keep the matrix going
-                    failures += 1
-                    print(f"cell failed: {path.name} {strategy} seed={seed}: {e}",
-                          file=sys.stderr)
-                    got = [
-                        RunStats(
-                            instance_label="-",
-                            verdict_kind="error",
-                            strategy=strategy,
-                            seed=seed,
-                        )
-                    ]
-                for r in got:
-                    r.problem = path.stem
-                rows.extend(got)
-    stats_path = Path(cfg.stats_path or "bench_stats.csv")
+    for path, strategy, seed in itertools.product(inputs, strategies, seeds):
+        try:
+            if path.suffix == ".sys":
+                family = _family({"kind": "family", "source": str(path)})
+            else:
+                dag = load_dag(str(path))
+                family = _family({"kind": "pebbling", "pebbles": [1, len(dag.nodes)]}, dag)
+            got = list(_drive(family, strategy, _pdr(args, seed)).per_instance_stats)
+        except Exception as e:  # record the cell, keep the matrix going
+            failures += 1
+            print(f"cell failed: {path.name} {strategy} seed={seed}: {e}",
+                  file=sys.stderr)
+            got = [
+                RunStats(
+                    instance_label="-",
+                    verdict_kind="error",
+                    strategy=strategy,
+                    seed=seed,
+                )
+            ]
+        for r in got:
+            r.problem = path.stem
+        rows.extend(got)
+    stats_path = Path(args.stats or "bench_stats.csv")
     stats_path.write_text(emit_csv(rows))
     agg_path = stats_path.with_name(stats_path.stem + "_aggregate.csv")
     agg_path.write_text(emit_aggregate_csv(aggregate(rows)))
@@ -418,7 +361,7 @@ def cmd_bench(args) -> int:
             "stats": str(stats_path),
             "aggregate": str(agg_path),
         },
-        cfg,
+        args,
     )
     return 0 if failures == 0 else 1
 
@@ -489,11 +432,9 @@ def cmd_plot(args) -> int:
     try:
         rows = parse_csv(Path(args.stats_csv).read_text())
     except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        raise UsageError(e) from e
     if not rows:
-        print("error: stats file has no rows", file=sys.stderr)
-        return 2
+        raise UsageError("stats file has no rows")
     metric = args.metric
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -501,9 +442,8 @@ def cmd_plot(args) -> int:
     for problem in dict.fromkeys(r.problem for r in rows):
         mine = [r for r in rows if r.problem == problem]
         labels = list(dict.fromkeys(r.instance_label for r in mine))
-        agg = aggregate(mine)
         series: dict[str, list[tuple[int, float]]] = {}
-        for rec in agg:
+        for rec in aggregate(mine):
             series.setdefault(rec["strategy"], []).append(
                 (labels.index(rec["instance"]), rec[f"{metric}_mean"])
             )
@@ -582,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("plot", parents=[common],
                        help="emit per-problem charts from a stats CSV")
     s.add_argument("stats_csv")
-    s.add_argument("--metric", default="total_s")
+    s.add_argument("--metric", default="total_s", choices=METRIC_COLUMNS)
     s.add_argument("--out", default="plots")
     s.set_defaults(func=cmd_plot)
     return p
@@ -593,9 +533,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (BudgetExceeded, SolverTimeout) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -137,7 +137,6 @@ class Frames:
         self.k = 0
         self.deltas: list[dict[Clause, None]] = [{}, {}]
         self.acts: list[int] = []
-        self._asserted: set[tuple[Clause, int]] = set()
 
     @property
     def max_level(self) -> int:
@@ -151,14 +150,14 @@ class Frames:
             self.acts.append(self.solver.fresh_var())
 
     def add(self, clause: Clause, level: int) -> None:
-        """File a clause in deltas[level] and assert it behind acts[level],
-        once per literal. The caller removes it from any other level."""
+        """File a clause in deltas[level] and assert it behind acts[level].
+        The caller removes it from any other level. No clause reaches one
+        level of a generation twice: `add_blocked` skips a clause already
+        at or above its target, `propagate` only moves clauses up, and
+        `relax` places each clause at increasing levels."""
         self.ensure_level(level)
         self.deltas[level][clause] = None
-        act = self.acts[level]
-        if (clause, act) not in self._asserted:
-            self._asserted.add((clause, act))
-            self.solver.add_clause([-act, *clause.lits])
+        self.solver.add_clause([-self.acts[level], *clause.lits])
 
     def frame_clauses(self, i: int) -> list[Clause]:
         out: list[Clause] = []

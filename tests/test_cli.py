@@ -1,8 +1,11 @@
 """Exit codes, JSON shapes, and validator behavior of the command line."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ipdr.cli import main
 
@@ -423,3 +426,101 @@ def test_plot_writes_chart_per_problem(capsys, tmp_path, suite):
 def test_plot_missing_file(capsys, tmp_path):
     code, _ = run(capsys, "plot", str(tmp_path / "none.csv"))
     assert code == 2
+
+
+@pytest.mark.parametrize("where", ["missing", "file"])
+def test_bench_suite_that_is_not_a_directory(capsys, tmp_path, where):
+    path = tmp_path / "suite"
+    if where == "file":
+        path.write_text(CHAIN2_DAG)
+    code = main(["bench", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_bench_bad_seed_list(capsys, suite):
+    code = main(["bench", str(suite), "--seeds", "abc"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_plot_rejects_an_unknown_metric(capsys, tmp_path, suite):
+    stats = tmp_path / "stats.csv"
+    run(capsys, "bench", str(suite), "--strategies", "naive", "--stats", str(stats))
+    with pytest.raises(SystemExit) as exc:
+        main(["plot", str(stats), "--metric", "foo", "--out", str(tmp_path / "p")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'foo'" in capsys.readouterr().err
+
+
+def test_validate_rejects_boolean_literals(capsys, tmp_path):
+    # JSON true decodes to a Python bool, which is an int; it must not be
+    # read as literal 1
+    f = tmp_path / "fam.sys"
+    f.write_text(CONSTRAINING_SYS)
+    _, _, out = _emit_verdict(capsys, tmp_path, "solve", str(f))
+    doc = json.loads(out.read_text())
+    doc["invariant"]["clauses"] = [[True]]
+    out.write_text(json.dumps(doc))
+    code = main(["validate", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "literals must be integers" in captured.err
+
+
+# --- arbitrary input files ---------------------------------------------------------
+
+TOY_TFC = """\
+.v a,b,c
+.o c
+BEGIN
+t1 a
+t2 a,b
+t2 b,c
+END
+"""
+
+_SAMPLES = {".sys": RELAXING_SYS, ".dag": CHAIN3_DAG, ".tfc": TOY_TFC}
+
+
+def _edit(line):
+    # mostly keep the line; otherwise drop it or put arbitrary text there
+    return st.integers(0, 7).flatmap(
+        lambda k: st.just(line) if k < 6
+        else st.just("") if k == 6
+        else st.text(max_size=6)
+    )
+
+
+def _input_text(suffix):
+    """A well-formed sample with some lines dropped or replaced by arbitrary
+    text, or arbitrary text alone, so that both malformed and runnable
+    inputs come up."""
+    edited = st.tuples(*map(_edit, _SAMPLES[suffix].splitlines())).map("\n".join)
+    return st.integers(0, 3).flatmap(
+        lambda k: edited if k else st.text(max_size=40)
+    )
+
+
+@pytest.mark.parametrize("suffix", [".sys", ".dag", ".tfc"])
+def test_arbitrary_input_files_exit_with_a_code(tmp_path_factory, suffix):
+    # every input file either runs to a verdict or is refused with exit 2;
+    # nothing escapes main as an exception
+    path = tmp_path_factory.mktemp("fuzz") / f"input{suffix}"
+    command = "solve" if suffix == ".sys" else "pebble"
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=_input_text(suffix))
+    def check(text):
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, str(path), "--max-k", "3"])
+        assert code in (0, 1, 2)
+
+    check()
