@@ -56,11 +56,20 @@ def _invariant_doc(inv: Invariant) -> dict:
     return {"level": inv.level, "clauses": [list(c.lits) for c in inv.clauses]}
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as e:
+        raise UsageError(e) from e
+
+
 def _emit(doc: dict, args) -> None:
+    """Write the document to --output, if given, and then print it, so that
+    a write error leaves stdout empty."""
     text = json.dumps(doc, indent=2)
-    print(text)
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        _write(Path(args.output), text + "\n")
+    print(text)
 
 
 def _outcome_doc(outcome: IpdrOutcome, problem: dict) -> dict:
@@ -136,7 +145,7 @@ def _run(args, problem: dict, family: InstanceFamily, name: str, report) -> int:
     for r in rows:
         r.problem = name
     if args.stats:
-        Path(args.stats).write_text(emit_csv(rows))
+        _write(Path(args.stats), emit_csv(rows))
     doc["stats"] = [r.as_record() for r in rows]
     _emit(doc, args)
     return 0 if doc["result"] in ("holds", "optimum") else 1
@@ -327,33 +336,44 @@ def cmd_bench(args) -> int:
             raise UsageError(f"unknown strategy {s!r}")
     rows: list[RunStats] = []
     failures = 0
-    for path, strategy, seed in itertools.product(inputs, strategies, seeds):
+    for path in inputs:
+        # families are immutable: one parse and encoding serves every cell,
+        # and an input that fails to load fails each of its cells
+        family = error = None
         try:
             if path.suffix == ".sys":
                 family = _family({"kind": "family", "source": str(path)})
             else:
                 dag = load_dag(str(path))
                 family = _family({"kind": "pebbling", "pebbles": [1, len(dag.nodes)]}, dag)
-            got = list(_drive(family, strategy, _pdr(args, seed)).per_instance_stats)
-        except Exception as e:  # record the cell, keep the matrix going
-            failures += 1
-            print(f"cell failed: {path.name} {strategy} seed={seed}: {e}",
-                  file=sys.stderr)
-            got = [
-                RunStats(
-                    instance_label="-",
-                    verdict_kind="error",
-                    strategy=strategy,
-                    seed=seed,
-                )
-            ]
-        for r in got:
-            r.problem = path.stem
-        rows.extend(got)
+        except Exception as e:
+            error = e
+        for strategy, seed in itertools.product(strategies, seeds):
+            got = None
+            if family is not None:
+                try:
+                    got = list(_drive(family, strategy, _pdr(args, seed)).per_instance_stats)
+                except Exception as e:  # record the cell, keep the matrix going
+                    error = e
+            if got is None:
+                failures += 1
+                print(f"cell failed: {path.name} {strategy} seed={seed}: {error}",
+                      file=sys.stderr)
+                got = [
+                    RunStats(
+                        instance_label="-",
+                        verdict_kind="error",
+                        strategy=strategy,
+                        seed=seed,
+                    )
+                ]
+            for r in got:
+                r.problem = path.stem
+            rows.extend(got)
     stats_path = Path(args.stats or "bench_stats.csv")
-    stats_path.write_text(emit_csv(rows))
+    _write(stats_path, emit_csv(rows))
     agg_path = stats_path.with_name(stats_path.stem + "_aggregate.csv")
-    agg_path.write_text(emit_aggregate_csv(aggregate(rows)))
+    _write(agg_path, emit_aggregate_csv(aggregate(rows)))
     _emit(
         {
             "rows": len(rows),
@@ -437,7 +457,10 @@ def cmd_plot(args) -> int:
         raise UsageError("stats file has no rows")
     metric = args.metric
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise UsageError(e) from e
     written = []
     for problem in dict.fromkeys(r.problem for r in rows):
         mine = [r for r in rows if r.problem == problem]
@@ -449,19 +472,20 @@ def cmd_plot(args) -> int:
             )
         for pts in series.values():
             pts.sort()
+        strategies = list(series)
+        lines = [",".join(["instance"] + strategies)]
+        for i, lab in enumerate(labels):
+            cells = [lab]
+            for s in strategies:
+                val = dict(series[s]).get(i)
+                cells.append("" if val is None else f"{val:.6f}")
+            lines.append(",".join(cells))
         csv_path = outdir / f"{problem}_{metric}.csv"
-        with csv_path.open("w") as fh:
-            strategies = list(series)
-            fh.write(",".join(["instance"] + strategies) + "\n")
-            for i, lab in enumerate(labels):
-                cells = [lab]
-                for s in strategies:
-                    val = dict(series[s]).get(i)
-                    cells.append("" if val is None else f"{val:.6f}")
-                fh.write(",".join(cells) + "\n")
+        _write(csv_path, "\n".join(lines) + "\n")
         svg_path = outdir / f"{problem}_{metric}.svg"
-        svg_path.write_text(
-            _svg_chart(f"{problem}: {metric} by instance", series, labels, metric)
+        _write(
+            svg_path,
+            _svg_chart(f"{problem}: {metric} by instance", series, labels, metric),
         )
         written += [str(csv_path), str(svg_path)]
     print(json.dumps({"written": written}, indent=2))
@@ -472,17 +496,20 @@ def cmd_plot(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # flags of every subcommand that runs PDR; validate and plot take none
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument("--timeout", type=float, default=None, dest="timeout_s",
+                        help="wall-clock budget in seconds per instance")
+    engine.add_argument("--max-k", type=int, default=None, dest="max_k",
+                        help="frontier cap before giving up")
+    engine.add_argument("--debug-invariants", action="store_true",
+                        dest="debug_invariants")
+    engine.add_argument("--stats", default=None, help="write per-instance CSV here")
+    engine.add_argument("--output", default=None, help="also write the JSON here")
+    # bench takes lists of these instead
+    common = argparse.ArgumentParser(add_help=False, parents=[engine])
     common.add_argument("--strategy", choices=STRATEGIES, default=None)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--timeout", type=float, default=None, dest="timeout_s",
-                        help="wall-clock budget in seconds per instance")
-    common.add_argument("--max-k", type=int, default=None, dest="max_k",
-                        help="frontier cap before giving up")
-    common.add_argument("--debug-invariants", action="store_true",
-                        dest="debug_invariants")
-    common.add_argument("--stats", default=None, help="write per-instance CSV here")
-    common.add_argument("--output", default=None, help="also write the JSON here")
 
     p = argparse.ArgumentParser(prog="ipdr")
     sub = p.add_subparsers(dest="command", required=True)
@@ -507,19 +534,19 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="break the lock on purpose (soundness harness)")
     s.set_defaults(func=cmd_peterson)
 
-    s = sub.add_parser("validate", parents=[common],
+    s = sub.add_parser("validate",
                        help="re-check an emitted verdict from scratch")
     s.add_argument("verdict", help="verdict JSON written by another subcommand")
     s.set_defaults(func=cmd_validate)
 
-    s = sub.add_parser("bench", parents=[common],
+    s = sub.add_parser("bench", parents=[engine],
                        help="run an input x strategy x seed matrix")
     s.add_argument("suite", help="directory of .dag/.tfc/.sys inputs")
     s.add_argument("--seeds", default="0", help="comma-separated seed list")
     s.add_argument("--strategies", default="naive,constrain,relax,binary")
     s.set_defaults(func=cmd_bench)
 
-    s = sub.add_parser("plot", parents=[common],
+    s = sub.add_parser("plot",
                        help="emit per-problem charts from a stats CSV")
     s.add_argument("stats_csv")
     s.add_argument("--metric", default="total_s", choices=METRIC_COLUMNS)

@@ -3,10 +3,11 @@
 One boolean per node: pebbled or not. Flipping a node in either direction
 requires every predecessor pebbled both before and after the step, any set
 of nodes compatible with that rule may flip simultaneously, and the board
-starts empty. The pebble budget is a unary counting ladder over the
-next-state variables, imposed per instance by assuming the ladder outputs
-above the budget away, so the initial condition is shared by every family
-member and only the step relation varies. A counterexample to "the goal
+starts empty. The pebble budget is a totalizer over the next-state
+variables, whose j-th unary output is true iff at least j nodes are
+pebbled. It is imposed per instance by assuming the outputs above the
+budget away, so the initial condition is shared by every family member
+and only the step relation varies. A counterexample to "the goal
 configuration is never reached" is a pebbling strategy; an invariant is an
 impossibility certificate for the budget.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from .cnf import Clause
 from .engine import EngineError, Trace, UsageError
-from .solver import VarPool, ladder_clauses
+from .solver import VarPool, totalizer_clauses
 from .system import Instance, InstanceFamily, TransitionSystem
 
 
@@ -178,9 +179,9 @@ def load_dag(path: str) -> Dag:
 def encode_pebbling(
     dag: Dag, p_values: list[int], direction: str = "relaxing"
 ) -> InstanceFamily:
-    """Family over pebble budgets. Instance parameter p assumes the counting
-    ladder outputs above p away; raising p releases assumptions, so ascending
-    budgets relax."""
+    """Family over pebble budgets. Instance parameter p assumes the
+    totalizer outputs above p away; raising p releases assumptions, so
+    ascending budgets relax."""
     n = len(dag.nodes)
     ps = sorted(set(p_values))
     if not ps:
@@ -199,7 +200,7 @@ def encode_pebbling(
             trans.append(Clause([cur[v], -nxt[v], nxt[u]]))
             trans.append(Clause([-cur[v], nxt[v], cur[u]]))
             trans.append(Clause([-cur[v], nxt[v], nxt[u]]))
-    ladder, defs = ladder_clauses(pool, [nxt[v] for v in dag.nodes])
+    budget, defs = totalizer_clauses(pool, [nxt[v] for v in dag.nodes])
     goal_missing = [-cur[v] for v in dag.outputs]
     goal_excess = [cur[v] for v in dag.nodes if v not in dag.outputs]
     prop = [Clause(goal_missing + goal_excess)]
@@ -217,7 +218,7 @@ def encode_pebbling(
         Instance(
             system=system,
             label=f"p{p}",
-            assumptions=ladder.at_most_assumptions(p),
+            assumptions=budget.at_most_assumptions(p),
             param=p,
         )
         for p in ps

@@ -814,7 +814,7 @@ def tseitin_encode(solver: Solver, formula: Formula) -> int:
     return root
 
 
-# --- sequential counter ladder -------------------------------------------------
+# --- totalizer -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -828,8 +828,8 @@ class CountingLadder:
 
     def at_most_assumptions(self, bound: int) -> tuple[int, ...]:
         """Assumption literals imposing count <= bound (release-style: all
-        outputs above the bound are negated; ladder monotonicity makes the
-        first one sufficient, the rest are then implied)."""
+        outputs above the bound are negated; the outputs are monotone, so
+        the first one is sufficient and the rest are then implied)."""
         if bound < 0:
             raise ValueError("bound must be >= 0")
         return tuple(-o for o in self.outputs[bound:])
@@ -842,46 +842,47 @@ class CountingLadder:
         return (self.outputs[bound - 1],)
 
 
-def ladder_clauses(alloc, lits: Sequence[int]) -> tuple[CountingLadder, list[Clause]]:
-    """Sequential-counter ladder with both implication directions, so the
-    count variables are functionally determined by the counted literals."""
-    n = len(lits)
+def totalizer_clauses(alloc, lits: Sequence[int]) -> tuple[CountingLadder, list[Clause]]:
+    """Totalizer (Bailleux & Boufkhad, CP 2003) with both implication
+    directions, so the outputs are functionally determined by the counted
+    literals. A leaf is a counted literal; a node splits its literals at
+    ceil(n/2) and sums its children's unary outputs a and b into r:
+    up (a_i & b_j -> r_{i+j}) and down (r_{i+j+1} -> a_{i+1} | b_{j+1}),
+    with a_0 = b_0 = true and a, b false past their ends. O(n log n)
+    auxiliary variables, where a sequential counter takes n(n+1)/2. The
+    counted literals must be over distinct variables."""
     out: list[Clause] = []
-    # s[i][j] (1-based) is true iff at least j of the first i literals hold
-    prev: list[int] = []  # s[i-1][1..i-1]
-    for i in range(1, n + 1):
-        x = lits[i - 1]
-        cur = [alloc.fresh_var() for _ in range(i)]
-        for j in range(1, i + 1):
-            s = cur[j - 1]
-            above = prev[j - 1] if j <= i - 1 else None  # s[i-1][j]
-            diag = prev[j - 2] if j >= 2 else None  # s[i-1][j-1]; None means true for j=1
-            if above is not None:
-                out.append(Clause([-above, s]))
-            if j == 1:
-                out.append(Clause([-x, s]))
-            elif diag is not None:
-                out.append(Clause([-diag, -x, s]))
-            # downward direction: s -> above OR (diag AND x)
-            if above is None and j == 1:
-                out.append(Clause([-s, x]))
-            elif above is None:
-                # j == i: s[i][i] -> diag and x
-                out.append(Clause([-s, diag]))
-                out.append(Clause([-s, x]))
-            elif j == 1:
-                out.append(Clause([-s, above, x]))
-            else:
-                out.append(Clause([-s, above, diag]))
-                out.append(Clause([-s, above, x]))
-        prev = cur
-    ladder = CountingLadder(tuple(lits), tuple(prev))
-    return ladder, out
+
+    def node(part: Sequence[int]) -> list[int]:
+        if len(part) == 1:
+            return [part[0]]
+        half = (len(part) + 1) // 2
+        a = node(part[:half])
+        b = node(part[half:])
+        r = [alloc.fresh_var() for _ in range(len(part))]
+        for i in range(len(a) + 1):
+            for j in range(len(b) + 1):
+                if i + j >= 1:
+                    up = [-a[i - 1]] if i else []
+                    if j:
+                        up.append(-b[j - 1])
+                    up.append(r[i + j - 1])
+                    out.append(Clause(up))
+                if i + j < len(r):
+                    down = [a[i]] if i < len(a) else []
+                    if j < len(b):
+                        down.append(b[j])
+                    down.append(-r[i + j])
+                    out.append(Clause(down))
+        return r
+
+    outputs = node(lits) if lits else []
+    return CountingLadder(tuple(lits), tuple(outputs)), out
 
 
 def encode_at_most(solver: Solver, lits: Sequence[int]) -> CountingLadder:
-    """Encode the counting ladder directly into a solver."""
-    ladder, clauses = ladder_clauses(solver, lits)
+    """Encode the totalizer directly into a solver."""
+    counter, clauses = totalizer_clauses(solver, lits)
     for c in clauses:
         solver.add_clause(c.lits)
-    return ladder
+    return counter

@@ -8,6 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ipdr.cli import main
+from ipdr.engine import PdrConfig
+from ipdr.incremental import ipdr_relax, naive_driver
+from ipdr.pebbling import encode_pebbling, load_dag
+from ipdr.stats import parse_csv
+from ipdr.system import parse_explicit_family
 
 from oracles import pebbling_successors
 
@@ -471,6 +476,79 @@ def test_validate_rejects_boolean_literals(capsys, tmp_path):
     assert code == 2
     assert captured.out == ""
     assert "literals must be integers" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--output", "--stats"])
+def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, chain3, flag):
+    code = main(["pebble", chain3, flag, str(tmp_path / "no" / "such" / "file")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "v.json", "--output", "out.json"],
+        ["validate", "v.json", "--strategy", "relax"],
+        ["plot", "runs.csv", "--stats", "s.csv"],
+        ["plot", "runs.csv", "--max-k", "3"],
+        ["bench", "suite", "--strategy", "naive"],
+    ],
+    ids=["validate-output", "validate-strategy", "plot-stats", "plot-max-k",
+         "bench-strategy"],
+)
+def test_subcommands_refuse_flags_they_do_not_use(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _counter_records(rows):
+    return [
+        {k: v for k, v in r.as_record().items() if not k.endswith("_s")}
+        for r in rows
+    ]
+
+
+def test_bench_rows_equal_runs_on_freshly_loaded_inputs(capsys, tmp_path, suite):
+    # one loaded family serves every cell of its input; the rows must be
+    # those of a fresh parse and encoding per cell
+    stats = tmp_path / "stats.csv"
+    code, _ = run(capsys, "bench", str(suite), "--strategies", "naive,relax",
+                  "--seeds", "0,1", "--stats", str(stats))
+    assert code == 0
+    want = []
+    for path in sorted(suite.iterdir()):
+        for driver in (naive_driver, ipdr_relax):
+            for seed in (0, 1):
+                if path.suffix == ".sys":
+                    family = parse_explicit_family(path.read_text())
+                else:
+                    dag = load_dag(str(path))
+                    family = encode_pebbling(dag, list(range(1, len(dag.nodes) + 1)))
+                rows = list(driver(family, PdrConfig(seed=seed)).per_instance_stats)
+                for r in rows:
+                    r.problem = path.stem
+                want += rows
+    assert _counter_records(parse_csv(stats.read_text())) == _counter_records(want)
+
+
+def test_bench_malformed_input_fails_each_cell(capsys, tmp_path, suite):
+    (suite / "bad.dag").write_text("node a\nedge a zz\n")
+    stats = tmp_path / "stats.csv"
+    code = main(["bench", str(suite), "--strategies", "naive,relax",
+                 "--seeds", "0,1", "--stats", str(stats)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["failures"] == 4
+    failed = [l for l in captured.err.splitlines() if "bad.dag" in l]
+    assert len(failed) == 4
+    assert len({l.split(": ", 1)[1].split(": ", 1)[1] for l in failed}) == 1
+    rows = parse_csv(stats.read_text())
+    assert [r.verdict_kind for r in rows if r.problem == "bad"] == ["error"] * 4
 
 
 # --- arbitrary input files ---------------------------------------------------------

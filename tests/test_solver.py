@@ -1,4 +1,4 @@
-"""Solver, Tseitin, and counting-ladder tests against brute-force oracles."""
+"""Solver, Tseitin, and totalizer tests against brute-force oracles."""
 
 import contextlib
 import heapq
@@ -26,7 +26,7 @@ from ipdr.solver import (
     VarPool,
     _luby,
     encode_at_most,
-    ladder_clauses,
+    totalizer_clauses,
     model_cube,
     tseitin_clauses,
     tseitin_encode,
@@ -719,15 +719,15 @@ def test_tseitin_exactly_one_extension_and_root_semantics(f):
         assert got == want
 
 
-# --- counting ladder -------------------------------------------------------------
+# --- totalizer -------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_ladder_outputs_follow_counts(n):
     pool = VarPool(n)
     lits = list(range(1, n + 1))
-    ladder, clauses = ladder_clauses(pool, lits)
-    assert len(ladder.outputs) == n
+    counter, clauses = totalizer_clauses(pool, lits)
+    assert len(counter.outputs) == n
     aux_vars = list(range(n + 1, pool.n + 1))
     for asg in all_assignments(lits):
         # exactly one aux extension, and outputs match the count
@@ -739,17 +739,26 @@ def test_ladder_outputs_follow_counts(n):
         assert len(exts) == 1
         full = exts[0]
         c = count_true(lits, asg)
-        for j, o in enumerate(ladder.outputs, start=1):
+        for j, o in enumerate(counter.outputs, start=1):
             assert full[o] == (c >= j)
+
+
+def test_totalizer_size_is_n_log_n():
+    # a sequential counter takes 276 aux variables and 1,058 clauses here
+    pool = VarPool(23)
+    counter, clauses = totalizer_clauses(pool, list(range(1, 24)))
+    assert pool.n - 23 == 106
+    assert len(clauses) == 718
+    assert len(counter.outputs) == 23
 
 
 def test_ladder_bound_by_assumption():
     s = Solver()
     lits = s.fresh_vars(4)
-    ladder = encode_at_most(s, lits)
+    counter = encode_at_most(s, lits)
     # one encoding serves every bound in the family
     for p in range(0, 5):
-        assumptions = list(ladder.at_most_assumptions(p))
+        assumptions = list(counter.at_most_assumptions(p))
         r = s.solve(assumptions + lits[: min(p, 4)])
         assert r.sat  # exactly p trues is fine
         if p < 4:
@@ -760,18 +769,18 @@ def test_ladder_bound_by_assumption():
 def test_ladder_negative_literals_counted():
     s = Solver()
     x, y = s.fresh_vars(2)
-    ladder = encode_at_most(s, [x, -y])
-    r = s.solve(list(ladder.at_most_assumptions(0)))
+    counter = encode_at_most(s, [x, -y])
+    r = s.solve(list(counter.at_most_assumptions(0)))
     assert r.sat and not r.value(x) and r.value(y)
 
 
 def test_ladder_at_least():
     s = Solver()
     lits = s.fresh_vars(3)
-    ladder = encode_at_most(s, lits)
-    r = s.solve(list(ladder.at_least_assumptions(3)))
+    counter = encode_at_most(s, lits)
+    r = s.solve(list(counter.at_least_assumptions(3)))
     assert r.sat and all(r.value(l) for l in lits)
-    assert not s.solve(list(ladder.at_least_assumptions(2)) + [-l for l in lits[:2]]).sat
+    assert not s.solve(list(counter.at_least_assumptions(2)) + [-l for l in lits[:2]]).sat
 
 
 # --- stress: bigger random instances against a simple DPLL ------------------------
