@@ -35,7 +35,9 @@ class Skeleton:
     fresh literal per instance binding.
 
     Nothing asserted is ever retracted. Instances differ only by the
-    assumption literals `gamma` passed to every query.
+    assumption literals `gamma` passed to every query. A new binding fixes
+    the previous binding's initial literal false, so the solver drops the
+    clauses behind it (`Solver.simplify`) and stops deciding it.
     """
 
     def __init__(self, system: TransitionSystem, seed: int = 0):
@@ -59,6 +61,8 @@ class Skeleton:
 
     def bind_instance(self, inst: Instance) -> None:
         self.gamma = full_assumptions(inst)
+        if self.init_act is not None:
+            self.solver.retire((self.init_act,))
         self.init_act = self.solver.fresh_var()
         for c in self.system.init:
             self.solver.add_clause([-self.init_act, *c.lits])
@@ -80,13 +84,9 @@ class Skeleton:
 
     def sat_step(self, pre: Cube, post: Cube) -> bool:
         """SAT(pre and step and post'), no frames, no property."""
-        sys_ = self.system
-        assumptions = [
-            self.step_act,
-            *self.gamma,
-            *pre.lits,
-            *(sys_.prime_lit(l) for l in post),
-        ]
+        primed = self.system.primed
+        assumptions = [self.step_act, *self.gamma, *pre.lits]
+        assumptions += [primed[l] for l in post.lits]
         return self._solve(assumptions).sat
 
 
@@ -140,10 +140,11 @@ def check_invariant(inst: Instance, clauses: Sequence[Clause]) -> dict[str, bool
     for c in clauses:
         sk.solver.add_clause([-inv_act, *c.lits])
     base = [inv_act, *sk.gamma]
+    primed = sys_.primed
     return {
         "invariant-initiation": not any(sk.sat_init(c.negate()).sat for c in clauses),
         "invariant-consecution": not any(
-            sk._solve([*base, sk.step_act, *(sys_.prime_lit(-l) for l in c)]).sat
+            sk._solve([*base, sk.step_act, *[primed[-l] for l in c.lits]]).sat
             for c in clauses
         ),
         "invariant-safety": not sk._solve([*base, sk.neg_prop]).sat,

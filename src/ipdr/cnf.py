@@ -65,13 +65,6 @@ class Clause:
     def __repr__(self) -> str:
         return f"Clause({list(self.lits)})"
 
-    def subsumes(self, other: "Clause") -> bool:
-        """self implies other syntactically (literal subset)."""
-        if len(self.lits) > len(other.lits):
-            return False
-        other_set = set(other.lits)
-        return all(l in other_set for l in self.lits)
-
     def negate(self) -> "Cube":
         return Cube(-l for l in self.lits)
 
@@ -114,12 +107,15 @@ class Cube:
     def as_assignment(self) -> dict[int, bool]:
         return {var_of(l): is_positive(l) for l in self.lits}
 
-
-def clause_blocks(clause: Clause, cube: Cube) -> bool:
-    """True iff clause excludes every state of the (possibly partial) cube:
-    every literal of the clause appears negated in the cube."""
-    cube_lits = set(cube.lits)
-    return all(-l in cube_lits for l in clause.lits)
+    @classmethod
+    def _canonical_tuple(cls, lits: tuple[int, ...]) -> "Cube":
+        """The cube of a tuple that is already canonical: nonzero literals
+        over distinct variables, sorted by variable, as a model read off in
+        variable order or a subsequence of another cube's literals is. The
+        tuple is not checked; anything else goes through `Cube(...)`."""
+        cube = object.__new__(cls)
+        object.__setattr__(cube, "lits", lits)
+        return cube
 
 
 # --- formula AST for Tseitin encoding ---------------------------------------

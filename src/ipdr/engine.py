@@ -9,9 +9,11 @@ reaches them). A clause sits in at most one delta.
 
 All SAT work goes through one frame solver: a single incremental context
 serves every frame, frame clauses sit behind per-level activation literals,
-and retired clauses are never retracted, they just stop being assumed. The
-solver drops those that a unit has retired (the one-shot query guards) as
-satisfied at level 0, which leaves the models of the clause set unchanged.
+and retired clauses are never retracted, they just stop being assumed. Once
+a unit fixes their literal false (a one-shot query guard after its query,
+an old binding's initial literal, a frame generation two resets back) the
+solver drops them as satisfied at level 0, which leaves the models of the
+clause set unchanged.
 
 When the initial condition is one unit per state variable (a single initial
 state s0, as both encoders emit), initiation queries are answered without
@@ -28,8 +30,8 @@ import time
 from dataclasses import dataclass, field
 
 from .certify import Skeleton, replay
-from .cnf import Clause, Cube, clause_blocks
-from .solver import SatResult, Solver, SolverTimeout
+from .cnf import Clause, Cube
+from .solver import SatResult, Solver, SolverTimeout, model_cube
 from .system import Instance, State, TransitionSystem
 
 
@@ -127,16 +129,26 @@ class Frames:
     deterministic across processes. acts (index 0 allocated, unused) is
     empty in a new generation until the first `ensure_level`. Frame clauses
     are never retracted: `reset` starts a new generation whose fresh
-    literals leave the old clauses unassumed."""
+    literals leave the old clauses unassumed, and fixes false the literals
+    of the generation before the one it retires, so the solver drops those
+    clauses (`Solver.simplify`) and stops deciding the literals. The
+    generation it retires stays live until the next reset: its literals'
+    saved phases steer the first instance of the new generation, and fixing
+    them at once moved the lock3 relax sweep from 4,708 to 6,058 SAT
+    calls."""
 
     def __init__(self, solver: Solver):
         self.solver = solver
+        self.acts: list[int] = []
+        self._retired: list[int] = []  # the last generation's literals, still live
         self.reset()
 
     def reset(self) -> None:
+        self.solver.retire(self._retired)
+        self._retired = self.acts
         self.k = 0
         self.deltas: list[dict[Clause, None]] = [{}, {}]
-        self.acts: list[int] = []
+        self.acts = []
 
     @property
     def max_level(self) -> int:
@@ -174,9 +186,9 @@ class SingleContextSolver(Skeleton):
     ride behind one-shot guard literals that are permanently falsified after
     the query. The solver then drops such a clause as satisfied at level 0
     (see `Solver.simplify`); the models of the clause set do not change.
-    Clauses behind the activation literals of an earlier generation
-    (`Frames.reset`) stay in the database, since nothing fixes those
-    literals.
+    Clauses behind an earlier binding's initial literal (`bind_instance`)
+    or an earlier frame generation's activation literals (`Frames.reset`)
+    go the same way once their literal is fixed false.
 
     When the initial condition is a full cube s0 (see `init_cube`), two
     things change, and they only work together. `sat_init` answers a cube
@@ -229,7 +241,7 @@ class SingleContextSolver(Skeleton):
     def bad_cube_at(self, level: int) -> Cube | None:
         """Model of F_level and not P, as a total state cube."""
         r = self._solve([*self._base(level), self.neg_prop, *self.gamma])
-        return r.cube(self.system.state_vars) if r.sat else None
+        return model_cube(r, self.system.state_vars) if r.sat else None
 
     def sat_frame_cube(self, level: int, cube: Cube) -> bool:
         """SAT(F_level and P and cube), no step relation."""
@@ -240,30 +252,27 @@ class SingleContextSolver(Skeleton):
         cube'). Returns (True, core subcube) when blocked, else (False,
         predecessor state cube)."""
         sys_ = self.system
+        primed = sys_.primed
+        lits = cube.lits
         g = self.solver.fresh_var()
-        self.solver.add_clause([-g, *(-l for l in cube)])
-        assumptions = [
-            *self._base(level),
-            self.prop_act,
-            self.step_act,
-            g,
-            *self.gamma,
-            *(sys_.prime_lit(l) for l in cube),
-        ]
+        self.solver.add_clause([-g, *[-l for l in lits]])
+        assumptions = [*self._base(level), self.prop_act, self.step_act, g, *self.gamma]
+        assumptions += [primed[l] for l in lits]
         r = self._solve(assumptions)
         self.solver.add_clause([-g])
         if r.sat:
-            return False, r.cube(sys_.state_vars)
-        kept = [l for l in cube if sys_.prime_lit(l) in r.core]
-        return True, Cube(kept) if kept else cube
+            return False, model_cube(r, sys_.state_vars)
+        core = r.core
+        kept = tuple([l for l in lits if primed[l] in core])
+        return True, Cube._canonical_tuple(kept) if kept else cube
 
     def step_holds(self, level: int, clause: Clause, with_prop: bool = True) -> bool:
         """UNSAT(F_level [and P] and step and not clause')."""
-        sys_ = self.system
+        primed = self.system.primed
         assumptions = [*self._base(level), self.step_act, *self.gamma]
         if with_prop:
             assumptions.append(self.prop_act)
-        assumptions.extend(sys_.prime_lit(-l) for l in clause)
+        assumptions += [primed[-l] for l in clause.lits]
         return not self._solve(assumptions).sat
 
     @property
@@ -368,7 +377,7 @@ def _process_queue(ctx: PdrCtx) -> Trace | None:
         ob = heapq.heappop(ctx.queue)
         ctx.counters.obligations += 1
         s, lvl = ob.cube, ob.level
-        if any(clause_blocks(c, s) for c in frames.frame_clauses(lvl + 1)):
+        if _blocked_above(frames, s, lvl + 1):
             if lvl + 1 <= frames.k:
                 ctx.push(lvl + 1, s, ob.parent)
             continue
@@ -388,6 +397,20 @@ def _process_queue(ctx: PdrCtx) -> Trace | None:
             ctx.push(lvl - 1, payload, ob)
             heapq.heappush(ctx.queue, ob)  # retry once the predecessor falls
     return None
+
+
+def _blocked_above(frames: Frames, cube: Cube, level: int) -> bool:
+    """Some clause of F_level excludes every state of the (possibly
+    partial) cube: each of its literals appears negated in the cube."""
+    lits = set(cube.lits)
+    for delta in frames.deltas[level:]:
+        for c in delta:
+            for l in c.lits:
+                if -l not in lits:
+                    break
+            else:
+                return True
+    return False
 
 
 # --- blocking and generalization ------------------------------------------------------
@@ -423,7 +446,7 @@ def generalize(ctx: PdrCtx, level: int, cube: Cube, seed: Cube | None = None, de
         current = set(q.lits)
         if lit not in current or len(q.lits) <= 1:
             continue
-        cand = Cube([l for l in q.lits if l != lit])
+        cand = Cube._canonical_tuple(tuple([l for l in q.lits if l != lit]))
         ok, shrunk = _ctg_down(ctx, cand, level, depth)
         if ok:
             q = shrunk
@@ -462,7 +485,7 @@ def _ctg_down(ctx: PdrCtx, q: Cube, level: int, depth: int) -> tuple[bool, Cube]
                 continue
         ctgs = 0
         keep = set(m.lits)
-        q = Cube([l for l in q.lits if l in keep])
+        q = Cube._canonical_tuple(tuple([l for l in q.lits if l in keep]))
 
 
 def add_blocked(ctx: PdrCtx, clause: Clause, target: int) -> None:
@@ -473,13 +496,16 @@ def add_blocked(ctx: PdrCtx, clause: Clause, target: int) -> None:
     frames = ctx.frames
     lvl = min(target, frames.k + 1)
     frames.ensure_level(lvl)
-    for j in range(lvl, frames.max_level + 1):
-        for d in frames.deltas[j]:
-            if d.subsumes(clause):
+    # subsumption is a literal subset; the new clause's set is built once
+    lits = set(clause.lits)
+    n = len(lits)
+    for delta in frames.deltas[lvl:]:
+        for d in delta:
+            if len(d.lits) <= n and lits.issuperset(d.lits):
                 return
-    for j in range(1, lvl + 1):
-        for d in [x for x in frames.deltas[j] if clause.subsumes(x)]:
-            del frames.deltas[j][d]
+    for delta in frames.deltas[1 : lvl + 1]:
+        for d in [x for x in delta if n <= len(x.lits) and lits.issubset(x.lits)]:
+            del delta[d]
     frames.add(clause, lvl)
 
 

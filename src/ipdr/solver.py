@@ -90,13 +90,17 @@ class SatResult:
 
 
 def model_cube(result: SatResult, variables: Iterable[int]) -> Cube:
-    """Total cube over the given variables, read off the model."""
+    """Total cube over the given distinct variables, read off the model."""
     if not result.sat:
         raise ValueError("no model: result is unsat")
     assigns = result._assigns
+    vs = sorted(variables)  # linear on sorted input, as the encoders' state variables are
     # TRUE is 1 and FALSE is -1, so v * value is the literal; an unassigned
-    # variable gives 0, which Cube rejects
-    return Cube([v * assigns[v] for v in variables])
+    # variable gives 0
+    lits = tuple([v * assigns[v] for v in vs])
+    if 0 in lits:
+        raise ValueError(f"variable {vs[lits.index(0)]} unassigned in model")
+    return Cube._canonical_tuple(lits)
 
 
 class VarPool:
@@ -246,6 +250,14 @@ class Solver:
         self.clauses.append(clause)
         self._watch(clause)
         return True
+
+    def retire(self, lits: Iterable[int]) -> None:
+        """Fix each literal false for good: an activation literal whose
+        clauses no query will assume again. Those clauses are then satisfied
+        at level 0, `simplify` drops them, and the search stops deciding the
+        literals."""
+        for lit in lits:
+            self.add_clause([-lit])
 
     def _watch(self, clause: list[int]) -> None:
         self.watches[self._lit_idx(clause[0])].append(clause)
@@ -613,9 +625,12 @@ class Solver:
 
     def _solve(self, assumptions: list[int], deadline: float | None) -> SatResult:
         nvars = self.nvars
-        for lit in assumptions:
-            if not 0 < (lit if lit > 0 else -lit) <= nvars:
-                raise ValueError(f"assumption {lit} uses an unallocated variable")
+        if assumptions and (
+            min(assumptions) < -nvars or max(assumptions) > nvars or 0 in assumptions
+        ):
+            for lit in assumptions:
+                if not 0 < (lit if lit > 0 else -lit) <= nvars:
+                    raise ValueError(f"assumption {lit} uses an unallocated variable")
         if not self.ok:
             return SatResult(False, None, frozenset())
         confl = self._propagate()
@@ -673,22 +688,27 @@ class Solver:
                     restart_budget = 100 * _luby(restart_idx)
                     self._cancel_until(0)
                 continue
+            # push assumptions up to the first one that gets assigned: an
+            # assumption that is already true opens an empty level with
+            # nothing to propagate, so the next one follows at once
             dl = len(trail_lim)
-            if dl < n_assumptions:
+            pushed = False
+            while dl < n_assumptions:
                 p = assumptions[dl]
                 val = assigns[p] if p > 0 else -assigns[-p]
-                if val == TRUE:
-                    trail_lim.append(len(trail))
-                    continue
                 if val == FALSE:
-                    core = self._analyze_final(p)
-                    return SatResult(False, None, core)
+                    return SatResult(False, None, self._analyze_final(p))
                 trail_lim.append(len(trail))
-                v = p if p > 0 else -p
-                assigns[v] = TRUE if p > 0 else FALSE
-                level[v] = dl + 1
-                reason[v] = None
-                trail.append(p)
+                dl += 1
+                if val == UNDEF:
+                    v = p if p > 0 else -p
+                    assigns[v] = TRUE if p > 0 else FALSE
+                    level[v] = dl
+                    reason[v] = None
+                    trail.append(p)
+                    pushed = True
+                    break
+            if pushed:
                 continue
             # pick a branching variable
             if len(trail) == nvars:

@@ -43,8 +43,12 @@ class TransitionSystem:
         self.prop = tuple(prop)
         self.defs = tuple(defs)
         self.guards = frozenset(guards)
-        self._prime = dict(zip(self.state_vars, self.primed_vars))
         self._unprime = dict(zip(self.primed_vars, self.state_vars))
+        # every state literal to its primed literal, for the query hot paths
+        self.primed: dict[int, int] = {}
+        for v, pv in zip(self.state_vars, self.primed_vars):
+            self.primed[v] = pv
+            self.primed[-v] = -pv
         overlap = set(self.state_vars) & set(self.primed_vars)
         if overlap:
             raise ValueError(f"variables both current and primed: {overlap}")
@@ -52,11 +56,10 @@ class TransitionSystem:
     # --- priming -------------------------------------------------------------
 
     def prime_lit(self, lit: int) -> int:
-        v = var_of(lit)
-        pv = self._prime.get(v)
-        if pv is None:
-            raise ValueError(f"variable {v} is not a state variable")
-        return pv if lit > 0 else -pv
+        try:
+            return self.primed[lit]
+        except KeyError:
+            raise ValueError(f"variable {var_of(lit)} is not a state variable") from None
 
     def unprime_lit(self, lit: int) -> int:
         v = var_of(lit)
@@ -75,7 +78,7 @@ class TransitionSystem:
         return Cube(self.unprime_lit(l) for l in cube)
 
     def is_state_lit(self, lit: int) -> bool:
-        return var_of(lit) in self._prime
+        return lit in self.primed
 
     def state_cube(self, state: "State") -> Cube:
         return Cube(

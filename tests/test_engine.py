@@ -17,6 +17,7 @@ from ipdr.certify import Skeleton
 from ipdr.cnf import Clause, Cube
 from ipdr.engine import (
     BudgetExceeded,
+    Frames,
     Invariant,
     InvariantViolation,
     PdrConfig,
@@ -27,9 +28,10 @@ from ipdr.engine import (
     pdr_main,
     validate_ctx,
 )
+from ipdr.incremental import ipdr_binary, ipdr_constrain, ipdr_relax
 from ipdr.pebbling import encode_pebbling, load_dag
 from ipdr.peterson import encode_peterson
-from ipdr.solver import SolverTimeout
+from ipdr.solver import FALSE, UNDEF, SatResult, Solver, SolverTimeout
 from ipdr.system import Instance, TransitionSystem, build_explicit, holds_invariant_explicit
 
 from oracles import bfs_shortest_path
@@ -389,3 +391,114 @@ def test_unconstrained_state_variables_take_their_initial_values():
     fs.frames.ensure_level(2)
     assert fs.sat_cube_bad(Cube([x1, x2, x3]))  # saves x2 and x3 as true
     assert fs.bad_cube_at(1) == Cube([x1, -x2, -x3])
+
+
+# --- retired activation literals ------------------------------------------------------
+
+QUERY_KINDS = (
+    "rel_ind",
+    "step_holds",
+    "sat_init",
+    "bad_cube_at",
+    "sat_frame_cube",
+    "sat_step",
+    "sat_init_bad",
+    "sat_cube_bad",
+)
+
+
+def _answer(fs, result):
+    if isinstance(result, SatResult):
+        if result.sat:
+            return True, result.cube(fs.system.state_vars).lits
+        return False, tuple(sorted(result.core))
+    if isinstance(result, tuple):  # rel_ind: (blocked, cube)
+        return result[0], result[1].lits
+    if isinstance(result, Cube):
+        return result.lits
+    return result
+
+
+def _query_log(monkeypatch, run):
+    """Every frame-solver query of `run()` with its arguments and answer."""
+    log = []
+    for kind in QUERY_KINDS:
+        original = getattr(SingleContextSolver, kind)
+
+        def wrapper(fs, *args, _kind=kind, _original=original, **kwargs):
+            result = _original(fs, *args, **kwargs)
+            shown = tuple(a.lits if isinstance(a, (Cube, Clause)) else a for a in args)
+            log.append((_kind, shown, tuple(kwargs.items()), _answer(fs, result)))
+            return result
+
+        monkeypatch.setattr(SingleContextSolver, kind, wrapper)
+    run()
+    monkeypatch.undo()
+    return log
+
+
+def _bench_dag(stem):
+    return load_dag(str(Path(__file__).parent.parent / "benchmarks" / f"{stem}.dag"))
+
+
+def _sweep(name):
+    """One sweep of a small family, by "<family>/<strategy>"."""
+    stem, strategy = name.split("/")
+    if stem == "lock2":
+        return lambda: ipdr_relax(encode_peterson(2, [0, 1, 2]))
+    dag = _bench_dag(stem)
+    budgets = list(range(1, len(dag.nodes) + 1))
+    if strategy == "constrain":
+        return lambda: ipdr_constrain(encode_pebbling(dag, budgets, "constraining"))
+    drive = ipdr_relax if strategy == "relax" else ipdr_binary
+    return lambda: drive(encode_pebbling(dag, budgets))
+
+
+@pytest.mark.parametrize("name", [
+    "lock2/relax",
+    *(f"{stem}/{strategy}" for stem in ("diamond", "chain3") for strategy in ("relax", "constrain", "binary")),
+])
+def test_retiring_dead_activation_literals_changes_no_answer(monkeypatch, name):
+    retire = Solver.retire
+    retired = []
+
+    def spy(self, lits):
+        lits = list(lits)
+        retired.extend(lits)
+        retire(self, lits)
+
+    monkeypatch.setattr(Solver, "retire", spy)
+    with_retirement = _query_log(monkeypatch, _sweep(name))
+    assert retired  # every sweep rebinds at least once
+    monkeypatch.setattr(Solver, "retire", lambda self, lits: None)
+    without = _query_log(monkeypatch, _sweep(name))
+    assert with_retirement and with_retirement == without
+
+
+def test_rebinding_retires_the_old_initial_literal():
+    a, b = _guarded_init_family()
+    fs = SingleContextSolver(a.system, PdrConfig())
+    fs.bind_instance(a)
+    old = fs.init_act
+    assert fs.sat_init(Cube([1, 2])).sat is False  # a query under the old binding
+    s = fs.solver
+    assert any(old in map(abs, c) for c in s.clauses)
+    fs.bind_instance(b)
+    assert s.assigns[old] == FALSE and s.level[old] == 0
+    s.simplify()
+    assert not any(old in map(abs, c) for c in s.clauses + s.learnts)
+    assert fs.sat_init(Cube([1, 2])).sat
+
+
+def test_frames_reset_retires_the_generation_before_the_last():
+    s = Solver()
+    frames = Frames(s)
+    frames.ensure_level(3)
+    first = list(frames.acts)
+    frames.reset()
+    assert all(s.assigns[a] == UNDEF for a in first)
+    frames.ensure_level(3)
+    second = list(frames.acts)
+    frames.reset()
+    assert all(s.assigns[a] == FALSE and s.level[a] == 0 for a in first)
+    assert all(s.assigns[a] == UNDEF for a in second)

@@ -88,6 +88,28 @@ def test_unallocated_variable_rejected():
         s.solve([5])
 
 
+@pytest.mark.parametrize("bad", [0, 4, -4])
+def test_out_of_range_assumption_named_in_the_error(bad):
+    s = Solver()
+    s.fresh_vars(3)
+    with pytest.raises(ValueError, match=f"assumption {bad} "):
+        s.solve([1, -2, bad, 3])
+
+
+def test_model_cube_rejects_an_unassigned_variable():
+    r = SatResult(True, [UNDEF, TRUE, UNDEF, FALSE], None)
+    assert model_cube(r, [3, 1]) == Cube([1, -3])
+    with pytest.raises(ValueError, match="variable 2 unassigned"):
+        model_cube(r, [1, 2, 3])
+
+
+def test_canonical_subcube_is_an_ordinary_cube():
+    cube = Cube([5, -3, 1, 7])
+    sub = Cube._canonical_tuple(tuple(l for l in cube.lits if l != 5))
+    assert sub == Cube([7, 1, -3]) and hash(sub) == hash(Cube([1, -3, 7]))
+    assert sub.lits == (1, -3, 7) and {sub: 1}[Cube([-3, 7, 1])] == 1
+
+
 def test_contradictory_assumptions():
     s = Solver()
     x = s.fresh_var()
@@ -283,7 +305,10 @@ def incremental_scripts(draw):
         elif r < 0.75:
             ops.append(("retire", rng.randrange(100)))
         else:
-            ops.append(("solve", lits(rng.randint(0, 2))))
+            assumed = lits(rng.randint(0, 2))
+            if assumed and rng.random() < 0.3:
+                assumed.append(assumed[0])  # already true when pushed again
+            ops.append(("solve", assumed))
     return n, ops
 
 
@@ -486,6 +511,23 @@ def test_propagation_makes_the_reference_search(script):
     assert _watch_state(s) == _watch_state(ref)
     assert s._heap == ref._heap
     assert s._key == [(-a, v) for v, a in enumerate(s.activity)]
+
+
+def test_already_true_assumptions_make_the_reference_search():
+    # 2 is implied by 1, 3 is fixed at level 0, and 1 and 3 come twice
+    ops = [
+        ("add", [-1, 2]),
+        ("add", [3]),
+        ("guarded", [-2, 4, 5]),
+        ("solve", [1, 2, 3, 1, -4]),
+        ("solve", [3, 3, -5, 1]),
+        ("solve", [3, 1, 2, -4, -5]),
+    ]
+    fast, s = _run_script(Solver, 6, ops)
+    plain, ref = _run_script(ReferenceSolver, 6, ops)
+    assert fast == plain
+    assert [r[0] for r in fast if isinstance(r, tuple) and len(r) == 3] == [True, True, False]
+    assert _watch_state(s) == _watch_state(ref) and s._heap == ref._heap
 
 
 def _moved_watch_conflict(cls):
