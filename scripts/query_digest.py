@@ -9,7 +9,10 @@ and the workload definitions from `perfbench/workloads.py`, and runs each
 sweep of the workload once with the configuration perfbench uses. A change
 meant to keep the search ("same answers, cheaper") must leave the digest,
 the solves and the conflicts as they are; the propagations may fall when
-the change removes work that decides nothing.
+the change removes work that decides nothing. One line per sweep, in run
+order, comes first: its name, solves, conflicts and a SHA-1 over that
+sweep's query answers alone, so a change meant to move one driver's search
+can show that the other sweeps kept theirs. The totals follow.
 
 Each query of `SingleContextSolver` adds one record (kind, level or None,
 its arguments, its answer). An answer is read the way the engine reads it:
@@ -61,6 +64,7 @@ def _arg(a):
 class Digest:
     def __init__(self):
         self.sha = hashlib.sha1()
+        self.sweep_sha = hashlib.sha1()  # the running sweep's answers only
         self.queries = 0
         self.solves = self.conflicts = self.propagations = 0
         self._patched: list[tuple[object, str, object]] = []
@@ -91,7 +95,9 @@ class Digest:
             rest = args[1:] if levelled else args
             record = (kind, level, tuple(_arg(a) for a in rest),
                       tuple(sorted(kwargs.items())), _answer(fs, result))
-            self.sha.update(repr(record).encode())
+            data = repr(record).encode()
+            self.sha.update(data)
+            self.sweep_sha.update(data)
             self.queries += 1
             return result
 
@@ -128,14 +134,18 @@ def main(argv=None) -> int:
     lib = SimpleNamespace(incremental=incremental, pebbling=pebbling, peterson=peterson)
     wl = workloads.setup(args.workload, args.seed, lib, ROOT)
     cfg = engine.PdrConfig(seed=wl.pdr_seed, timeout_s=workloads.ENGINE_TIMEOUT_S)
+    print(f"workload     {args.workload} seed {args.seed}")
     digest = Digest()
     digest.install()
     try:
         for sweep in wl.sweeps:
+            solves, conflicts = digest.solves, digest.conflicts
+            digest.sweep_sha = hashlib.sha1()
             sweep.run(cfg)
+            print(f"sweep        {sweep.name:<20} solves {digest.solves - solves:>6}  "
+                  f"conflicts {digest.conflicts - conflicts:>5}  {digest.sweep_sha.hexdigest()}")
     finally:
         digest.uninstall()
-    print(f"workload     {args.workload} seed {args.seed}")
     print(f"solves       {digest.solves}")
     print(f"conflicts    {digest.conflicts}")
     print(f"propagations {digest.propagations}")

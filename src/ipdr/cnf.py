@@ -20,11 +20,6 @@ def is_positive(lit: int) -> bool:
     return lit > 0
 
 
-def neg(lit: int) -> int:
-    # negation is an involution: neg(neg(l)) == l
-    return -lit
-
-
 def _canonical(lits: Iterable[int], kind: str) -> tuple[int, ...]:
     seen: dict[int, int] = {}
     for lit in lits:

@@ -6,8 +6,8 @@ when the next instance is more constrained the frames stay sound as they are
 so repair is a rebind plus one propagation pass; when it is more relaxed,
 each stored clause is re-established from scratch against the new semantics
 before being copied into a new frame generation. The linear drivers sweep a
-family in order, the binary driver keeps one reusable context per verdict
-side and probes midpoints from the nearer side.
+family in order; the binary driver keeps the context of its most recent
+invariant probe and relaxes every midpoint up from it.
 
 All four drivers share one per-instance step, `_visit`: start a fresh
 engine or repair the given context, check it when `debug_invariants` is
@@ -160,20 +160,19 @@ def _visit(
     inst: Instance,
     cfg: PdrConfig,
     strategy: str,
-    repair: str,
     t0: float | None = None,
 ) -> tuple[PdrCtx | None, Verdict, RunStats]:
     """Run one instance and return (context, verdict, stats row).
 
     With no context a fresh engine is started; otherwise the context is
-    repaired for `inst` by `repair`, "relax" or "constrain". A relaxed
-    instance is first rebound and its initial states checked against the
-    property; a violation is returned as a length-0 trace with no context,
-    since the stale frames were never repaired and must not be reused. The
-    row counts the engine work from before the repair (after a fresh
-    start) and the preparation time from `t0`, which defaults to now. The
-    instance's budget `timeout_s` also runs from `t0`, so the repair and the
-    run share it."""
+    repaired for `inst` by `constrain` when `strategy` is "constrain" and by
+    `relax` otherwise ("relax" or "binary"). A relaxed instance is first
+    rebound and its initial states checked against the property; a
+    violation is returned as a length-0 trace with no context, since the
+    stale frames were never repaired and must not be reused. The row counts
+    the engine work from before the repair (after a fresh start) and the
+    preparation time from `t0`, which defaults to now. The instance's budget
+    `timeout_s` also runs from `t0`, so the repair and the run share it."""
     t0 = time.perf_counter() if t0 is None else t0
     attempts = copied = 0
     verdict: Verdict | None = None
@@ -185,7 +184,8 @@ def _visit(
     before = (ctx.counters.cti, ctx.counters.obligations, ctx.fs.sat_calls, ctx.fs.sat_time_s)
     prep = 0.0
     if not fresh:
-        if repair == "relax":
+        relaxing = strategy != "constrain"
+        if relaxing:
             ctx.rebind(inst)
             r = ctx.fs.sat_init_bad()
             if r.sat:
@@ -195,7 +195,7 @@ def _visit(
         else:
             constrain(ctx, inst)
         if verdict is None and cfg.debug_invariants:
-            bad = validate_ctx(ctx, frontier_clear=repair == "relax")
+            bad = validate_ctx(ctx, frontier_clear=relaxing)
             if bad:
                 raise InvariantViolation("; ".join(bad))
         prep = time.perf_counter() - t0
@@ -222,14 +222,14 @@ def _visit(
 # --- linear drivers ---------------------------------------------------------------
 
 
-def _sweep(family: InstanceFamily, cfg: PdrConfig, repair: str) -> IpdrOutcome:
-    """Visit the family in order, reusing one context by `repair` (a fresh
-    engine per instance when it is empty), and stop at the first invariant
-    of a constraining family or the first trace of a relaxing one. A
-    constraining sweep replays its last trace against each later instance
-    first and skips every instance where it stays valid: the skipped row
-    keeps the trace verdict with zeroed engine counters and the replay cost
-    under preparation time."""
+def _sweep(family: InstanceFamily, cfg: PdrConfig, strategy: str) -> IpdrOutcome:
+    """Visit the family in order, reusing one context by `strategy`
+    ("constrain" or "relax"; "naive" starts a fresh engine per instance),
+    and stop at the first invariant of a constraining family or the first
+    trace of a relaxing one. A constraining sweep replays its last trace
+    against each later instance first and skips every instance where it
+    stays valid: the skipped row keeps the trace verdict with zeroed engine
+    counters and the replay cost under preparation time."""
     stop = Invariant if family.direction == "constraining" else Trace
     rows: list[RunStats] = []
     ctx: PdrCtx | None = None
@@ -237,7 +237,7 @@ def _sweep(family: InstanceFamily, cfg: PdrConfig, repair: str) -> IpdrOutcome:
     last_trace: Trace | None = None
     for inst in family.instances:
         t0 = time.perf_counter()
-        if repair == "constrain" and last_trace is not None and trace_valid_in(last_trace, inst):
+        if strategy == "constrain" and last_trace is not None and trace_valid_in(last_trace, inst):
             dt = time.perf_counter() - t0
             rows.append(
                 RunStats(
@@ -251,9 +251,9 @@ def _sweep(family: InstanceFamily, cfg: PdrConfig, repair: str) -> IpdrOutcome:
             )
             verdict = last_trace
             continue
-        ctx, verdict, row = _visit(ctx, inst, cfg, repair or "naive", repair, t0)
+        ctx, verdict, row = _visit(ctx, inst, cfg, strategy, t0)
         rows.append(row)
-        if not repair:
+        if strategy == "naive":
             ctx = None  # drop the naive engine before the next one starts
         if isinstance(verdict, Trace):
             last_trace = verdict
@@ -285,7 +285,7 @@ def naive_driver(family: InstanceFamily, config: PdrConfig | None = None) -> Ipd
     stopping rule as the incremental driver it is compared against (first
     invariant for a constraining family, first trace for a relaxing one),
     and no trace replay shortcut."""
-    return _sweep(family, config or PdrConfig(), "")
+    return _sweep(family, config or PdrConfig(), "naive")
 
 
 # --- binary search ----------------------------------------------------------------
@@ -295,12 +295,12 @@ def ipdr_binary(family: InstanceFamily, config: PdrConfig | None = None) -> Opti
     """Find the least parameter whose instance admits a counterexample.
 
     The family must carry strictly increasing integer parameters in its
-    relaxing order. Two contexts are cached, the most recent invariant
-    verdict and the most recent trace verdict; a midpoint probe reuses
-    whichever lies nearer by parameter distance (ties prefer the invariant
-    side), relaxing up from the invariant side or constraining down from the
-    trace side. Reuse consumes the cached entry, so at most two engine
-    states are ever alive."""
+    relaxing order. Only the context of the most recent invariant probe is
+    cached, and it always sits at the current lower bound, so a midpoint
+    probe relaxes up from it when there is one and starts a fresh engine
+    otherwise. A trace probe's context is dropped: constraining down from a
+    budget where the property fails costs more than it saves. At most one
+    cached engine state is alive."""
     cfg = config or PdrConfig()
     insts = list(family.instances)
     if family.direction == "constraining":
@@ -311,36 +311,15 @@ def ipdr_binary(family: InstanceFamily, config: PdrConfig | None = None) -> Opti
     if any(b <= a for a, b in zip(params, params[1:])):
         raise UsageError("binary search needs strictly increasing parameters")
     rows: list[RunStats] = []
-    inv_side: tuple[int, PdrCtx] | None = None
-    tr_side: tuple[int, PdrCtx] | None = None
+    cached: PdrCtx | None = None
     verdicts: dict[int, Verdict] = {}
 
     def probe(i: int) -> Verdict:
-        nonlocal inv_side, tr_side
-        inst = insts[i]
-        ctx: PdrCtx | None = None
-        repair = ""
-        lower = inv_side is not None and inv_side[0] < i
-        upper = tr_side is not None and tr_side[0] > i
-        if lower and upper:
-            d_lo = inst.param - insts[inv_side[0]].param
-            d_hi = insts[tr_side[0]].param - inst.param
-            if d_hi < d_lo:
-                lower = False
-            else:
-                upper = False
-        if lower:
-            (_, ctx), inv_side, repair = inv_side, None, "relax"
-        elif upper:
-            (_, ctx), tr_side, repair = tr_side, None, "constrain"
-        ctx, verdict, row = _visit(ctx, inst, cfg, "binary", repair)
+        nonlocal cached
+        ctx, verdict, row = _visit(cached, insts[i], cfg, "binary")
         rows.append(row)
         verdicts[i] = verdict
-        if ctx is not None:
-            if isinstance(verdict, Invariant):
-                inv_side = (i, ctx)
-            else:
-                tr_side = (i, ctx)
+        cached = ctx if isinstance(verdict, Invariant) else None
         return verdict
 
     hi = len(insts) - 1

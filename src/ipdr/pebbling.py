@@ -42,17 +42,12 @@ class Dag:
         for o in self.outputs:
             if o not in declared:
                 raise ValueError(f"output {o} is not a declared node")
-        order, cyclic = _topo_order(self.nodes, self.edges)
+        _, cyclic = _topo_order(self.nodes, self.edges)
         if cyclic is not None:
             raise ValueError(f"dependency cycle through node {cyclic}")
-        object.__setattr__(self, "_topo", tuple(order))
 
     def predecessors(self, v: str) -> tuple[str, ...]:
         return tuple(u for u, w in self.edges if w == v)
-
-    @property
-    def topo_order(self) -> tuple[str, ...]:
-        return self._topo  # type: ignore[attr-defined]
 
 
 def _topo_order(nodes, edges):

@@ -441,26 +441,60 @@ def test_binary_probes_initial_violation_at_midpoint():
     assert probed == ["2", "0", "1"]
 
 
-def test_binary_drops_the_context_of_an_initial_violation(monkeypatch):
-    """The probe at 0 constrains down from 4; the probe at 2 relaxes up
-    from 0 and answers at depth 0 without repairing the frames, so its
-    context is not cached and the probe at 1 starts a fresh engine instead
-    of constraining down from 2."""
+def test_binary_relaxes_from_the_last_invariant_only(monkeypatch):
+    """Binary search caches only the context of its most recent invariant
+    probe: the probe after an invariant relaxes up from it, every other
+    probe starts a fresh engine, and nothing is ever constrained down. On
+    `guarded_init_family(4)` the probe at 2 answers at depth 0 from the
+    context of 0, so the probe at 1 starts fresh as well."""
     import ipdr.incremental as inc
 
-    constrained = []
-    original = inc.constrain
+    events, origin = [], {}
+    init, original_relax = inc.pdr_init, inc.relax
 
-    def spy(ctx, nxt):
-        constrained.append((ctx.instance.label, nxt.label))
-        original(ctx, nxt)
+    def init_spy(inst, cfg):
+        ctx = init(inst, cfg)
+        origin[id(ctx)] = inst.label
+        events.append(("fresh", inst.label))
+        return ctx
 
-    monkeypatch.setattr(inc, "constrain", spy)
-    res = ipdr_binary(guarded_init_family(4), DEBUG)
-    assert [r.instance_label for r in res.per_instance_stats] == ["4", "0", "2", "1"]
-    assert res.per_instance_stats[2].cti_count == 0
-    assert constrained == [("4", "0")]
-    assert res.optimum == 1
+    def relax_spy(ctx, nxt):
+        events.append(("relax", origin[id(ctx)], nxt.label))
+        origin[id(ctx)] = nxt.label
+        return original_relax(ctx, nxt)
+
+    def constrain_spy(ctx, nxt):
+        raise AssertionError(f"constrained down from {ctx.instance.label} to {nxt.label}")
+
+    monkeypatch.setattr(inc, "pdr_init", init_spy)
+    monkeypatch.setattr(inc, "relax", relax_spy)
+    monkeypatch.setattr(inc, "constrain", constrain_spy)
+    bench = Path(__file__).parent.parent / "benchmarks"
+    families = [("guarded", guarded_init_family(4))]
+    for stem in ("diamond", "chain3"):
+        dag = load_dag(str(bench / f"{stem}.dag"))
+        families.append((stem, encode_pebbling(dag, list(range(1, len(dag.nodes) + 1)))))
+    relaxed = 0
+    for name, fam in families:
+        events.clear()
+        res = ipdr_binary(fam, DEBUG)
+        rows = res.per_instance_stats
+        by_target = {e[-1]: e for e in events}
+        assert len(by_target) == len(events)
+        for prev, row in zip((None,) + rows, rows):
+            label, event = row.instance_label, by_target.get(row.instance_label)
+            if prev is None or prev.verdict_kind == "trace":
+                assert event == ("fresh", label), name
+            elif event is None:  # the depth-0 answer repairs nothing
+                assert row.verdict_kind == "trace" and row.cti_count == 0, name
+            else:
+                assert event == ("relax", prev.instance_label, label), name
+                relaxed += 1
+        if name == "guarded":
+            assert [r.instance_label for r in rows] == ["4", "0", "2", "1"]
+            assert events == [("fresh", "4"), ("fresh", "0"), ("fresh", "1")]
+            assert res.optimum == 1
+    assert relaxed > 0
 
 
 def test_binary_requires_parameters():
