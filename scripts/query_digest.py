@@ -8,8 +8,8 @@ Run it from a source checkout; it imports `ipdr` from the checkout's `src/`
 and the workload definitions from `perfbench/workloads.py`, and runs each
 sweep of the workload once with the configuration perfbench uses. A change
 meant to keep the search ("same answers, cheaper") must leave the digest,
-the solves and the conflicts as they are; the propagations may fall when
-the change removes work that decides nothing. One line per sweep, in run
+the solves, the conflicts and the decisions as they are; the propagations
+may fall when the change removes work that decides nothing. One line per sweep, in run
 order, comes first: its name, solves, conflicts and a SHA-1 over that
 sweep's query answers alone, so a change meant to move one driver's search
 can show that the other sweeps kept theirs. The totals follow.
@@ -66,7 +66,7 @@ class Digest:
         self.sha = hashlib.sha1()
         self.sweep_sha = hashlib.sha1()  # the running sweep's answers only
         self.queries = 0
-        self.solves = self.conflicts = self.propagations = 0
+        self.solves = self.conflicts = self.decisions = self.propagations = 0
         self._patched: list[tuple[object, str, object]] = []
 
     def _patch(self, owner, attr, make):
@@ -105,13 +105,14 @@ class Digest:
 
     def _solve(self, orig):
         def wrapper(s, *args, **kwargs):
-            p0, c0 = s.n_propagations, s.n_conflicts
+            p0, c0, d0 = s.n_propagations, s.n_conflicts, s.n_decisions
             try:
                 return orig(s, *args, **kwargs)
             finally:
                 self.solves += 1
                 self.propagations += s.n_propagations - p0
                 self.conflicts += s.n_conflicts - c0
+                self.decisions += s.n_decisions - d0
 
         return wrapper
 
@@ -148,6 +149,7 @@ def main(argv=None) -> int:
         digest.uninstall()
     print(f"solves       {digest.solves}")
     print(f"conflicts    {digest.conflicts}")
+    print(f"decisions    {digest.decisions}")
     print(f"propagations {digest.propagations}")
     print(f"queries      {digest.queries}")
     print(f"digest       {digest.sha.hexdigest()}")

@@ -6,14 +6,17 @@ when the next instance is more constrained the frames stay sound as they are
 so repair is a rebind plus one propagation pass; when it is more relaxed,
 each stored clause is re-established from scratch against the new semantics
 before being copied into a new frame generation. The linear drivers sweep a
-family in order; the binary driver keeps the context of its most recent
-invariant probe and relaxes every midpoint up from it.
+family in order; the binary driver bisects between the unprobed ends of
+the family, keeps the context of its most recent invariant probe and
+relaxes the next probe up from it.
 
-All four drivers share one per-instance step, `_visit`: start a fresh
-engine or repair the given context, check it when `debug_invariants` is
-on, run PDR and record the stats row. It calls the engine and repair
-entry points through this module's globals, so a wrapper set on the
-module sees every call.
+All four drivers share one per-instance step, `_visit`: replay the
+witness it is given (the constraining sweep's last trace, or the trace at
+the binary search's upper bound) and skip the instance where it still
+holds; otherwise start a fresh engine or repair the given context, check
+it when `debug_invariants` is on, run PDR and record the stats row. It
+calls the replay, engine and repair entry points through this module's
+globals, so a wrapper set on the module sees every call.
 """
 
 from __future__ import annotations
@@ -160,20 +163,35 @@ def _visit(
     inst: Instance,
     cfg: PdrConfig,
     strategy: str,
-    t0: float | None = None,
+    witness: Trace | None = None,
 ) -> tuple[PdrCtx | None, Verdict, RunStats]:
     """Run one instance and return (context, verdict, stats row).
 
-    With no context a fresh engine is started; otherwise the context is
-    repaired for `inst` by `constrain` when `strategy` is "constrain" and by
-    `relax` otherwise ("relax" or "binary"). A relaxed instance is first
-    rebound and its initial states checked against the property; a
-    violation is returned as a length-0 trace with no context, since the
-    stale frames were never repaired and must not be reused. The row counts
-    the engine work from before the repair (after a fresh start) and the
-    preparation time from `t0`, which defaults to now. The instance's budget
-    `timeout_s` also runs from `t0`, so the repair and the run share it."""
-    t0 = time.perf_counter() if t0 is None else t0
+    A `witness` from a more relaxed instance is replayed first: where it
+    stays valid it is the verdict, the context comes back untouched, and
+    the row has zeroed engine counters with the replay cost as its
+    preparation time. Otherwise, with no context a fresh engine is started;
+    with one, the context is repaired for `inst` by `constrain` when
+    `strategy` is "constrain" and by `relax` otherwise ("relax" or
+    "binary"). A relaxed instance is first rebound and its initial states
+    checked against the property; a violation is returned as a length-0
+    trace with no context, since the stale frames were never repaired and
+    must not be reused. The row counts the engine work from before the
+    repair (after a fresh start) and the preparation time from the start
+    of the call. The instance's budget `timeout_s` also runs from there, so
+    the replay, the repair and the run share it."""
+    t0 = time.perf_counter()
+    if witness is not None and trace_valid_in(witness, inst):
+        dt = time.perf_counter() - t0
+        row = RunStats(
+            instance_label=inst.label,
+            verdict_kind="trace",
+            incr_prep_time=dt,
+            total_time=dt,
+            strategy=strategy,
+            seed=cfg.seed,
+        )
+        return ctx, witness, row
     attempts = copied = 0
     verdict: Verdict | None = None
     fresh = ctx is None
@@ -226,32 +244,16 @@ def _sweep(family: InstanceFamily, cfg: PdrConfig, strategy: str) -> IpdrOutcome
     """Visit the family in order, reusing one context by `strategy`
     ("constrain" or "relax"; "naive" starts a fresh engine per instance),
     and stop at the first invariant of a constraining family or the first
-    trace of a relaxing one. A constraining sweep replays its last trace
-    against each later instance first and skips every instance where it
-    stays valid: the skipped row keeps the trace verdict with zeroed engine
-    counters and the replay cost under preparation time."""
+    trace of a relaxing one. A constraining sweep hands its last trace to
+    `_visit`, which skips every later instance where it still replays."""
     stop = Invariant if family.direction == "constraining" else Trace
     rows: list[RunStats] = []
     ctx: PdrCtx | None = None
     verdict: Verdict | None = None
     last_trace: Trace | None = None
     for inst in family.instances:
-        t0 = time.perf_counter()
-        if strategy == "constrain" and last_trace is not None and trace_valid_in(last_trace, inst):
-            dt = time.perf_counter() - t0
-            rows.append(
-                RunStats(
-                    instance_label=inst.label,
-                    verdict_kind="trace",
-                    incr_prep_time=dt,
-                    total_time=dt,
-                    strategy="constrain",
-                    seed=cfg.seed,
-                )
-            )
-            verdict = last_trace
-            continue
-        ctx, verdict, row = _visit(ctx, inst, cfg, strategy, t0)
+        witness = last_trace if strategy == "constrain" else None
+        ctx, verdict, row = _visit(ctx, inst, cfg, strategy, witness)
         rows.append(row)
         if strategy == "naive":
             ctx = None  # drop the naive engine before the next one starts
@@ -295,12 +297,17 @@ def ipdr_binary(family: InstanceFamily, config: PdrConfig | None = None) -> Opti
     """Find the least parameter whose instance admits a counterexample.
 
     The family must carry strictly increasing integer parameters in its
-    relaxing order. Only the context of the most recent invariant probe is
-    cached, and it always sits at the current lower bound, so a midpoint
-    probe relaxes up from it when there is one and starts a fresh engine
-    otherwise. A trace probe's context is dropped: constraining down from a
-    budget where the property fails costs more than it saves. At most one
-    cached engine state is alive."""
+    relaxing order. The search bisects between two unprobed ends, -1 and
+    len(instances), so a family where every instance is safe takes
+    ceil(log2(n + 1)) probes and reports the top instance's invariant.
+    Each probe first replays the trace of the current upper bound, which
+    comes from a more relaxed instance; where it replays, the probe is a
+    trace with no engine work. Only the context of the most recent
+    invariant probe is cached, and it always sits at the current lower
+    bound, so a probe relaxes up from it when there is one and starts a
+    fresh engine otherwise. A trace probe's context is dropped:
+    constraining down from a budget where the property fails costs more
+    than it saves. At most one cached engine state is alive."""
     cfg = config or PdrConfig()
     insts = list(family.instances)
     if family.direction == "constraining":
@@ -313,32 +320,17 @@ def ipdr_binary(family: InstanceFamily, config: PdrConfig | None = None) -> Opti
     rows: list[RunStats] = []
     cached: PdrCtx | None = None
     verdicts: dict[int, Verdict] = {}
-
-    def probe(i: int) -> Verdict:
-        nonlocal cached
-        ctx, verdict, row = _visit(cached, insts[i], cfg, "binary")
-        rows.append(row)
-        verdicts[i] = verdict
-        cached = ctx if isinstance(verdict, Invariant) else None
-        return verdict
-
-    hi = len(insts) - 1
-    v_hi = probe(hi)
-    if isinstance(v_hi, Invariant):
-        return OptimizationResult(None, None, v_hi, tuple(rows))
-    if hi == 0:
-        return OptimizationResult(insts[0].param, v_hi, None, tuple(rows))
-    v_lo = probe(0)
-    if isinstance(v_lo, Trace):
-        return OptimizationResult(insts[0].param, v_lo, None, tuple(rows))
-    a, b = 0, hi
+    a, b = -1, len(insts)
     while b - a > 1:
         mid = (a + b) // 2
-        if isinstance(probe(mid), Invariant):
-            a = mid
+        ctx, verdict, row = _visit(cached, insts[mid], cfg, "binary", verdicts.get(b))
+        rows.append(row)
+        verdicts[mid] = verdict
+        if isinstance(verdict, Invariant):
+            cached, a = ctx, mid
         else:
-            b = mid
-    witness = verdicts[b]
-    blocker = verdicts[a]
-    assert isinstance(witness, Trace) and isinstance(blocker, Invariant)
-    return OptimizationResult(insts[b].param, witness, blocker, tuple(rows))
+            cached, b = None, mid
+    witness = verdicts.get(b)
+    blocker = verdicts.get(a)
+    optimum = insts[b].param if b < len(insts) else None
+    return OptimizationResult(optimum, witness, blocker, tuple(rows))

@@ -14,9 +14,15 @@ activity-based learnt-clause reduction, and level-0 removal of satisfied
 clauses (`simplifyDB`).
 
 Nearly all of a model-checking run is spent in `_propagate`, so the hot
-paths are written for the interpreter. `_propagate` and the assumption and
-decision steps of `_solve` assign literals inline instead of calling
-`_unchecked_enqueue`; `_propagate` walks each watch list once with `for`,
+paths are written for the interpreter. `_propagate` is the one loop that
+extends the trail during a search: when its queue empties it pushes the
+next assumption or, once every assumption is in, makes the next decision,
+and goes on propagating in the same call. It returns only on a conflict, a
+false assumption or a full assignment, so a query of a few dozen literals
+costs a handful of calls instead of one per assumption and decision;
+`_solve` keeps conflict analysis, backjumping, learning, reduction and
+restarts. `_propagate` assigns literals inline instead of calling
+`_unchecked_enqueue`; it walks each watch list once with `for`,
 compacting it in place, and looks at the single candidate of a ternary
 clause without a loop; `_cancel_until`, `_analyze` and `_analyze_final`
 take a literal's variable inline. Each variable's heap key, the tuple
@@ -159,6 +165,7 @@ class Solver:
         self.n_solves = 0
         self.n_conflicts = 0
         self.n_propagations = 0
+        self.n_decisions = 0
         self.solve_time_s = 0.0
         self._true_lit: int | None = None
 
@@ -347,8 +354,19 @@ class Solver:
 
     # --- propagation -----------------------------------------------------------
 
-    def _propagate(self) -> list[int] | None:
-        """Unit propagation; returns a conflicting clause or None.
+    def _propagate(
+        self, assumptions: list[int] | None = None, deadline: float | None = None
+    ) -> list[int] | int | None:
+        """Extend the trail: returns a conflicting clause, a false assumption
+        or None.
+
+        Called bare, it propagates until the queue is empty and returns None;
+        it never pushes or decides, at any level. Given the assumptions of a
+        `solve` call, it refills an empty queue and goes on in the same call:
+        first with the next assumption (an already-true one opens an empty
+        level, a false one is returned for `_analyze_final`), then, once
+        every assumption is in, with the next decision. It returns None only
+        when every variable is assigned.
 
         The hot loop of the solver, so the enqueue of `_unchecked_enqueue`
         is inlined and every list is a local. Each watch list is walked
@@ -363,76 +381,131 @@ class Solver:
         reason = self.reason
         watches = self.watches
         trail = self.trail
+        trail_lim = self.trail_lim
         push_trail = trail.append
-        dl = len(self.trail_lim)
+        dl = len(trail_lim)
         qhead = qhead0 = self.qhead
         n_trail = len(trail)
-        while qhead < n_trail:
-            neg_p = -trail[qhead]
-            qhead += 1
-            wl = watches[2 * neg_p if neg_p > 0 else -2 * neg_p + 1]
-            j = 0
-            for clause in wl:
-                # make sure the false literal sits at position 1
-                first = clause[0]
-                if first == neg_p:
-                    first = clause[1]
-                    clause[0] = first
-                    clause[1] = neg_p
-                val = assigns[first] if first > 0 else -assigns[-first]
-                if val == 1:
-                    wl[j] = clause
-                    j += 1
-                    continue
-                # look for a new watch; ternary clauses have one candidate
-                n = len(clause)
-                if n == 3:
-                    lk = clause[2]
-                    if (assigns[lk] if lk > 0 else -assigns[-lk]) != -1:
-                        clause[1] = lk
-                        clause[2] = neg_p
-                        watches[2 * lk if lk > 0 else -2 * lk + 1].append(clause)
+        failed = None
+        while True:
+            while qhead < n_trail:
+                neg_p = -trail[qhead]
+                qhead += 1
+                wl = watches[2 * neg_p if neg_p > 0 else -2 * neg_p + 1]
+                j = 0
+                for clause in wl:
+                    # make sure the false literal sits at position 1
+                    first = clause[0]
+                    if first == neg_p:
+                        first = clause[1]
+                        clause[0] = first
+                        clause[1] = neg_p
+                    val = assigns[first] if first > 0 else -assigns[-first]
+                    if val == 1:
+                        wl[j] = clause
+                        j += 1
                         continue
-                elif n > 3:
-                    for k in range(2, n):
-                        lk = clause[k]
+                    # look for a new watch; ternary clauses have one candidate
+                    n = len(clause)
+                    if n == 3:
+                        lk = clause[2]
                         if (assigns[lk] if lk > 0 else -assigns[-lk]) != -1:
                             clause[1] = lk
-                            clause[k] = neg_p
+                            clause[2] = neg_p
                             watches[2 * lk if lk > 0 else -2 * lk + 1].append(clause)
-                            break
+                            continue
+                    elif n > 3:
+                        for k in range(2, n):
+                            lk = clause[k]
+                            if (assigns[lk] if lk > 0 else -assigns[-lk]) != -1:
+                                clause[1] = lk
+                                clause[k] = neg_p
+                                watches[2 * lk if lk > 0 else -2 * lk + 1].append(clause)
+                                break
+                        else:
+                            k = 0
+                        if k:
+                            continue
+                    # unit or conflict
+                    if val == -1:
+                        # keep the rest of the watch list: drop only the slots
+                        # of the clauses that moved, between j and this clause
+                        # (a clause sits in a watch list at most once)
+                        i = j
+                        while wl[i] is not clause:
+                            i += 1
+                        del wl[j:i]
+                        self.qhead = qhead
+                        self.n_propagations += qhead - qhead0
+                        return clause
+                    wl[j] = clause
+                    j += 1
+                    if first > 0:
+                        assigns[first] = 1
+                        level[first] = dl
+                        reason[first] = clause
                     else:
-                        k = 0
-                    if k:
-                        continue
-                # unit or conflict
+                        assigns[-first] = -1
+                        level[-first] = dl
+                        reason[-first] = clause
+                    push_trail(first)
+                    n_trail += 1
+                del wl[j:]
+            if assumptions is None:
+                break
+            if dl < len(assumptions):
+                # the next assumption; an already-true one opens an empty
+                # level, so the next pass of the loop pushes the one after
+                p = assumptions[dl]
+                v = p if p > 0 else -p
+                val = assigns[v] if p > 0 else -assigns[v]
                 if val == -1:
-                    # keep the rest of the watch list: drop only the slots
-                    # of the clauses that moved, between j and this clause
-                    # (a clause sits in a watch list at most once)
-                    i = j
-                    while wl[i] is not clause:
-                        i += 1
-                    del wl[j:i]
+                    failed = p
+                    break
+                trail_lim.append(n_trail)
+                dl += 1
+                if val == 0:
+                    assigns[v] = 1 if p > 0 else -1
+                    level[v] = dl
+                    reason[v] = None
+                    push_trail(p)
+                    n_trail += 1
+                continue
+            if n_trail == self.nvars:
+                # every variable is assigned, so every heap entry is stale:
+                # popping them all would leave this same empty heap
+                self._heap.clear()
+                break
+            # check the deadline before the pop, so that a timeout leaves
+            # every unassigned variable its heap entry
+            n_decisions = self.n_decisions + 1
+            if deadline is not None and n_decisions % 1024 == 0:
+                if time.perf_counter() > deadline:
                     self.qhead = qhead
                     self.n_propagations += qhead - qhead0
-                    return clause
-                wl[j] = clause
-                j += 1
-                if first > 0:
-                    assigns[first] = 1
-                    level[first] = dl
-                    reason[first] = clause
-                else:
-                    assigns[-first] = -1
-                    level[-first] = dl
-                    reason[-first] = clause
-                push_trail(first)
-                n_trail += 1
-            del wl[j:]
+                    raise SolverTimeout()
+            self.n_decisions = n_decisions
+            # every unassigned variable has an entry with its current key
+            heap = self._heap
+            activity = self.activity
+            while True:
+                negact, v = heapq.heappop(heap)
+                if assigns[v] == 0 and -negact == activity[v]:
+                    break
+            trail_lim.append(n_trail)
+            dl += 1
+            if self.phase[v]:
+                assigns[v] = 1
+                push_trail(v)
+            else:
+                assigns[v] = -1
+                push_trail(-v)
+            level[v] = dl
+            reason[v] = None
+            n_trail += 1
         self.qhead = qhead
         self.n_propagations += qhead - qhead0
-        return None
+        return failed
 
     # --- conflict analysis -------------------------------------------------------
 
@@ -578,7 +651,10 @@ class Solver:
         assert not self.trail_lim, "simplify runs at decision level 0"
         if not self.ok or len(self.trail) == self._simp_assigns:
             return
-        true_lits = set(self.trail)  # at level 0 the trail is every assignment
+        # the literals fixed since the last pass: `add_clause` stores no
+        # clause satisfied at level 0 and a learnt holds no level-0 literal,
+        # so no stored clause holds a literal fixed before that pass
+        true_lits = set(self.trail[max(self._simp_assigns, 0):])
         removed: set[int] = set()
         dirty: set[int] = set()
 
@@ -633,107 +709,50 @@ class Solver:
                     raise ValueError(f"assumption {lit} uses an unallocated variable")
         if not self.ok:
             return SatResult(False, None, frozenset())
-        confl = self._propagate()
-        if confl is not None:
+        if self.qhead < len(self.trail) and self._propagate() is not None:
             self.ok = False
             return SatResult(False, None, frozenset())
         # MiniSat's budget: simplify again once the propagations since the
         # last pass reach the literal count of the clause database
         if self.n_propagations >= self._simp_due:
             self.simplify()
-        # assumption pushes and decisions enqueue inline, as in _propagate
-        assigns = self.assigns
-        level = self.level
-        reason = self.reason
-        activity = self.activity
-        phase = self.phase
-        trail = self.trail
-        trail_lim = self.trail_lim
-        heap = self._heap
-        heappop = heapq.heappop
         propagate = self._propagate
-        n_assumptions = len(assumptions)
         conflicts_here = 0
-        decisions_here = 0
         restart_idx = 1
-        restart_budget = 100 * _luby(restart_idx)
+        restart_budget = 100  # 100 * _luby(1)
         while True:
-            confl = propagate()
-            if confl is not None:
-                self.n_conflicts += 1
-                conflicts_here += 1
-                if deadline is not None and conflicts_here % 256 == 0:
-                    if time.perf_counter() > deadline:
-                        raise SolverTimeout()
-                if not trail_lim:
-                    self.ok = False
-                    return SatResult(False, None, frozenset())
-                learnt, bt = self._analyze(confl)
-                # never backjump into the middle of unfinished assumption
-                # pushing: the decide loop re-pushes what got popped
-                self._cancel_until(bt)
-                self._record_learnt(learnt)
-                self._var_decay_apply()
-                self.cla_inc /= self.cla_decay
-                if len(self.learnts) >= self.max_learnts:
-                    self._reduce_db()
-                    self.max_learnts *= 1.3
-                if conflicts_here >= restart_budget:
-                    # `conflicts_here` restarts from 0, so check the deadline
-                    # here too: the % 256 check above may never come round
-                    if deadline is not None and time.perf_counter() > deadline:
-                        raise SolverTimeout()
-                    conflicts_here = 0
-                    restart_idx += 1
-                    restart_budget = 100 * _luby(restart_idx)
-                    self._cancel_until(0)
-                continue
-            # push assumptions up to the first one that gets assigned: an
-            # assumption that is already true opens an empty level with
-            # nothing to propagate, so the next one follows at once
-            dl = len(trail_lim)
-            pushed = False
-            while dl < n_assumptions:
-                p = assumptions[dl]
-                val = assigns[p] if p > 0 else -assigns[-p]
-                if val == FALSE:
-                    return SatResult(False, None, self._analyze_final(p))
-                trail_lim.append(len(trail))
-                dl += 1
-                if val == UNDEF:
-                    v = p if p > 0 else -p
-                    assigns[v] = TRUE if p > 0 else FALSE
-                    level[v] = dl
-                    reason[v] = None
-                    trail.append(p)
-                    pushed = True
-                    break
-            if pushed:
-                continue
-            # pick a branching variable
-            if len(trail) == nvars:
-                # every variable is assigned, so every heap entry is stale:
-                # popping them all would leave this same empty heap
-                heap.clear()
-                return SatResult(True, list(assigns), None)
-            # every unassigned variable has an entry with its current key
-            while True:
-                negact, v = heappop(heap)
-                if assigns[v] == UNDEF and -negact == activity[v]:
-                    break
-            decisions_here += 1
-            if deadline is not None and decisions_here % 1024 == 0:
+            confl = propagate(assumptions, deadline)
+            if confl is None:
+                return SatResult(True, list(self.assigns), None)
+            if confl.__class__ is int:
+                return SatResult(False, None, self._analyze_final(confl))
+            self.n_conflicts += 1
+            conflicts_here += 1
+            if deadline is not None and conflicts_here % 256 == 0:
                 if time.perf_counter() > deadline:
                     raise SolverTimeout()
-            trail_lim.append(len(trail))
-            if phase[v]:
-                assigns[v] = TRUE
-                trail.append(v)
-            else:
-                assigns[v] = FALSE
-                trail.append(-v)
-            level[v] = dl + 1
-            reason[v] = None
+            if not self.trail_lim:
+                self.ok = False
+                return SatResult(False, None, frozenset())
+            learnt, bt = self._analyze(confl)
+            # never backjump into the middle of unfinished assumption
+            # pushing: `_propagate` re-pushes what got popped
+            self._cancel_until(bt)
+            self._record_learnt(learnt)
+            self._var_decay_apply()
+            self.cla_inc /= self.cla_decay
+            if len(self.learnts) >= self.max_learnts:
+                self._reduce_db()
+                self.max_learnts *= 1.3
+            if conflicts_here >= restart_budget:
+                # `conflicts_here` restarts from 0, so check the deadline
+                # here too: the % 256 check above may never come round
+                if deadline is not None and time.perf_counter() > deadline:
+                    raise SolverTimeout()
+                conflicts_here = 0
+                restart_idx += 1
+                restart_budget = 100 * _luby(restart_idx)
+                self._cancel_until(0)
 
 
 def _luby(i: int) -> int:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ipdr.certify
+from ipdr.certify import check_invariant, check_trace
 from ipdr.cnf import Clause
 from ipdr.engine import (
     Invariant,
@@ -408,10 +409,15 @@ def test_binary_accepts_constraining_order():
 
 
 def test_binary_all_safe_reports_no_optimum():
-    res = ipdr_binary(all_safe_family(), DEBUG)
+    fam = all_safe_family()
+    res = ipdr_binary(fam, DEBUG)
     assert res.optimum is None and res.witness_trace is None
     assert isinstance(res.impossibility_invariant, Invariant)
-    assert len(res.per_instance_stats) == 1  # only the most relaxed probe
+    # bisection from the unprobed ends: ceil(log2(3 + 1)) probes, the last
+    # one at the most relaxed instance, whose invariant is the blocker
+    assert [r.instance_label for r in res.per_instance_stats] == ["1", "2"]
+    top = fam.instances[-1]
+    assert all(check_invariant(top, res.impossibility_invariant.clauses).values())
 
 
 def test_binary_all_violated_reports_family_minimum():
@@ -428,29 +434,39 @@ def test_binary_all_violated_reports_family_minimum():
     assert res.impossibility_invariant is None
 
 
-def test_binary_probes_initial_violation_at_midpoint():
-    """The midpoint probe reuses the invariant side, rebinding first; the
+def test_binary_probes_initial_violation_at_midpoint(monkeypatch):
+    """The probe after an invariant reuses its context, rebinding first; the
     relaxed initial states already violate the property, so the probe must
-    answer without repairing the stale frames."""
-    fam = guarded_init_family(2)
+    answer at depth 0 without repairing the stale frames."""
+    import ipdr.incremental as inc
+
+    def relax_spy(ctx, nxt):
+        raise AssertionError(f"repaired the frames of {ctx.instance.label} for {nxt.label}")
+
+    monkeypatch.setattr(inc, "relax", relax_spy)
+    fam = guarded_init_family(1)
     res = ipdr_binary(fam, DEBUG)
     assert res.optimum == 1
     assert len(res.witness_trace.states) == 1
     assert isinstance(res.impossibility_invariant, Invariant)
-    probed = [r.instance_label for r in res.per_instance_stats]
-    assert probed == ["2", "0", "1"]
+    rows = res.per_instance_stats
+    assert [r.instance_label for r in rows] == ["0", "1"]
+    assert [r.verdict_kind for r in rows] == ["invariant", "trace"]
+    assert rows[1].sat_calls > 0 and rows[1].cti_count == 0  # asked, not replayed
 
 
 def test_binary_relaxes_from_the_last_invariant_only(monkeypatch):
     """Binary search caches only the context of its most recent invariant
     probe: the probe after an invariant relaxes up from it, every other
-    probe starts a fresh engine, and nothing is ever constrained down. On
-    `guarded_init_family(4)` the probe at 2 answers at depth 0 from the
-    context of 0, so the probe at 1 starts fresh as well."""
+    probe starts a fresh engine, a probe where the upper bound's trace
+    replays does no engine work at all, and nothing is ever constrained
+    down. On `guarded_init_family(4)` the fresh probe at 2 answers at depth
+    0, the probe at 0 starts fresh after it, and the length-0 trace of 2
+    replays at 1."""
     import ipdr.incremental as inc
 
-    events, origin = [], {}
-    init, original_relax = inc.pdr_init, inc.relax
+    events, origin, replayed = [], {}, []
+    init, original_relax, original_replay = inc.pdr_init, inc.relax, inc.trace_valid_in
 
     def init_spy(inst, cfg):
         ctx = init(inst, cfg)
@@ -466,9 +482,16 @@ def test_binary_relaxes_from_the_last_invariant_only(monkeypatch):
     def constrain_spy(ctx, nxt):
         raise AssertionError(f"constrained down from {ctx.instance.label} to {nxt.label}")
 
+    def replay_spy(trace, inst):
+        valid = original_replay(trace, inst)
+        if valid:
+            replayed.append(inst.label)
+        return valid
+
     monkeypatch.setattr(inc, "pdr_init", init_spy)
     monkeypatch.setattr(inc, "relax", relax_spy)
     monkeypatch.setattr(inc, "constrain", constrain_spy)
+    monkeypatch.setattr(inc, "trace_valid_in", replay_spy)
     bench = Path(__file__).parent.parent / "benchmarks"
     families = [("guarded", guarded_init_family(4))]
     for stem in ("diamond", "chain3"):
@@ -477,13 +500,17 @@ def test_binary_relaxes_from_the_last_invariant_only(monkeypatch):
     relaxed = 0
     for name, fam in families:
         events.clear()
+        replayed.clear()
         res = ipdr_binary(fam, DEBUG)
         rows = res.per_instance_stats
         by_target = {e[-1]: e for e in events}
         assert len(by_target) == len(events)
         for prev, row in zip((None,) + rows, rows):
             label, event = row.instance_label, by_target.get(row.instance_label)
-            if prev is None or prev.verdict_kind == "trace":
+            if label in replayed:  # a replayed row has no engine event
+                assert event is None and row.verdict_kind == "trace", name
+                assert row.sat_calls == row.cti_count == 0, name
+            elif prev is None or prev.verdict_kind == "trace":
                 assert event == ("fresh", label), name
             elif event is None:  # the depth-0 answer repairs nothing
                 assert row.verdict_kind == "trace" and row.cti_count == 0, name
@@ -491,10 +518,28 @@ def test_binary_relaxes_from_the_last_invariant_only(monkeypatch):
                 assert event == ("relax", prev.instance_label, label), name
                 relaxed += 1
         if name == "guarded":
-            assert [r.instance_label for r in rows] == ["4", "0", "2", "1"]
-            assert events == [("fresh", "4"), ("fresh", "0"), ("fresh", "1")]
+            assert [r.instance_label for r in rows] == ["2", "0", "1"]
+            assert events == [("fresh", "2"), ("fresh", "0")]
+            assert replayed == ["1"]
             assert res.optimum == 1
     assert relaxed > 0
+
+
+def test_binary_replays_its_witness_below_a_trace():
+    """A probe below a trace first replays that trace; where it is still a
+    counterexample the probe is answered with it and does no engine work,
+    and the witness reported is certified at the optimum."""
+    fam = guarded_init_family(4)
+    res = ipdr_binary(fam, DEBUG)
+    assert res.optimum == 1
+    rows = {r.instance_label: r for r in res.per_instance_stats}
+    skipped = rows["1"]
+    assert skipped.verdict_kind == "trace"
+    assert (skipped.sat_calls, skipped.cti_count, skipped.obligations_handled,
+            skipped.copy_attempts, skipped.copied_clauses) == (0, 0, 0, 0, 0)
+    assert skipped.strategy == "binary"
+    optimum = next(i for i in fam.instances if i.param == res.optimum)
+    assert all(check_trace(optimum, res.witness_trace.states).values())
 
 
 def test_binary_requires_parameters():

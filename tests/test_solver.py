@@ -329,15 +329,34 @@ def _run_script(cls, n, ops):
             r = s.solve([*guards, *arg])
             model = [r.value(v) for v in range(1, s.nvars + 1)] if r.sat else None
             out.append((r.sat, model, r.core))
-        out.append((s.n_propagations, s.n_conflicts))
+        out.append((s.n_propagations, s.n_conflicts, s.n_decisions))
     return out, s
+
+
+def _solve_answers(out):
+    """The (sat, model, core) records of a `_run_script` output."""
+    return [r for r in out if isinstance(r, tuple) and isinstance(r[0], bool)]
+
+
+class SimplifyChecked(Solver):
+    """Checks after every `simplify` pass that no stored clause or learnt
+    holds a literal true at level 0, which is when the pass is exact."""
+
+    passes = 0
+
+    def simplify(self) -> None:
+        super().simplify()
+        self.passes += 1
+        assigns = self.assigns
+        for c in self.clauses + self.learnts:
+            assert all((assigns[l] if l > 0 else -assigns[-l]) != TRUE for l in c), c
 
 
 @settings(max_examples=120, deadline=None)
 @given(incremental_scripts())
 def test_simplify_changes_no_answer_and_no_counter(script):
     n, ops = script
-    with_simplify, s = _run_script(Solver, n, ops)
+    with_simplify, s = _run_script(SimplifyChecked, n, ops)
     without, ref = _run_script(NoSimplify, n, ops)
     assert with_simplify == without
     assert len(s.clauses) <= len(ref.clauses)
@@ -352,9 +371,12 @@ class ReferenceSolver(Solver):
     one `_unchecked_enqueue` call per assigned literal, `var_of` on each
     literal, a fresh (-activity, v) tuple for each heap entry, and a
     decision step that pops the heap until a live entry comes up or the heap
-    is empty, so a SAT answer drains the heap. It ignores deadlines. The
-    fast versions in `Solver` must make exactly the same search: the same
-    trail, watch-list order, literal positions and heap."""
+    is empty, so a SAT answer drains the heap. Its `_solve` keeps
+    propagation, assumption pushes and decisions apart, as MiniSat does,
+    where `Solver._propagate` pushes and decides itself. It ignores
+    deadlines. The fast versions in `Solver` must make exactly the same
+    search: the same trail, decisions, watch-list order, literal positions
+    and heap."""
 
     def _propagate(self):
         assigns = self.assigns
@@ -493,6 +515,7 @@ class ReferenceSolver(Solver):
                     break
             if v == 0:
                 return SatResult(True, list(self.assigns), None)
+            self.n_decisions += 1
             self.trail_lim.append(len(self.trail))
             self._unchecked_enqueue(v if self.phase[v] else -v, None)
 
@@ -526,8 +549,70 @@ def test_already_true_assumptions_make_the_reference_search():
     fast, s = _run_script(Solver, 6, ops)
     plain, ref = _run_script(ReferenceSolver, 6, ops)
     assert fast == plain
-    assert [r[0] for r in fast if isinstance(r, tuple) and len(r) == 3] == [True, True, False]
+    assert [sat for sat, _, _ in _solve_answers(fast)] == [True, True, False]
     assert _watch_state(s) == _watch_state(ref) and s._heap == ref._heap
+
+
+def test_assumption_falsified_by_earlier_assumptions_makes_the_reference_search():
+    # 1 implies 2 and 2 implies -3, so pushing 3 after 1 finds it false;
+    # 4 sits between them and is no part of the core
+    ops = [("add", [-1, 2]), ("add", [-2, -3]), ("solve", [1, 4, 3]), ("solve", [4, 3])]
+    fast, s = _run_script(Solver, 5, ops)
+    plain, ref = _run_script(ReferenceSolver, 5, ops)
+    assert fast == plain
+    assert [(sat, core) for sat, _, core in _solve_answers(fast)] == [
+        (False, frozenset({1, 3})), (True, None)]
+    assert _watch_state(s) == _watch_state(ref) and s._heap == ref._heap
+
+
+def test_conflict_on_an_assumption_level_makes_the_reference_search():
+    # assuming 4 and then 1 implies 2 and 3, which falsify the last clause:
+    # the conflict comes while the level of assumption 1 propagates, the
+    # learnt clause (-1, -4) backjumps to the level of 4 and makes 1 false
+    ops = [
+        ("add", [-1, 2]),
+        ("add", [-1, 3]),
+        ("add", [-2, -3, -4]),
+        ("solve", [4, 1]),
+        ("solve", [4]),
+        ("solve", [1]),
+    ]
+    fast, s = _run_script(Solver, 5, ops)
+    plain, ref = _run_script(ReferenceSolver, 5, ops)
+    assert fast == plain
+    assert [(sat, core) for sat, _, core in _solve_answers(fast)] == [
+        (False, frozenset({1, 4})), (True, None), (True, None)]
+    assert s.n_conflicts == ref.n_conflicts == 1
+    assert s.learnts == ref.learnts and [sorted(c) for c in s.learnts] == [[-4, -1]]
+    assert _watch_state(s) == _watch_state(ref) and s._heap == ref._heap
+
+
+def _free_chain(n):
+    """A satisfiable formula that the all-false saved phases satisfy as it
+    is decided: n decisions and no propagation or conflict."""
+    s = Solver(seed=0)
+    xs = s.fresh_vars(n)
+    for a, b in zip(xs, xs[1:]):
+        s.add_clause([-a, -b])
+    return s
+
+
+def test_decision_deadline_fires_without_conflicts():
+    s = _free_chain(1100)
+    with time_limit(30), pytest.raises(SolverTimeout):
+        s.solve(deadline=time.perf_counter() - 1.0)
+    assert s.n_conflicts == 0
+
+
+def test_solver_answers_after_a_decision_timeout():
+    s = _free_chain(1100)
+    with pytest.raises(SolverTimeout):
+        s.solve(deadline=time.perf_counter() - 1.0)
+    assert s.n_decisions == 1023  # the 1024th decision is where it stopped
+    with time_limit(30):
+        r = s.solve()
+    assert r.sat and not any(r.value(v) for v in range(1, 1101))
+    assert s.n_decisions == 1023 + 1100
 
 
 def _moved_watch_conflict(cls):
