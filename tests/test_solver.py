@@ -342,11 +342,8 @@ class SimplifyChecked(Solver):
     """Checks after every `simplify` pass that no stored clause or learnt
     holds a literal true at level 0, which is when the pass is exact."""
 
-    passes = 0
-
     def simplify(self) -> None:
         super().simplify()
-        self.passes += 1
         assigns = self.assigns
         for c in self.clauses + self.learnts:
             assert all((assigns[l] if l > 0 else -assigns[-l]) != TRUE for l in c), c
