@@ -15,7 +15,11 @@ sweep's query answers alone, so a change meant to move one driver's search
 can show that the other sweeps kept theirs. The totals follow.
 
 Each query of `SingleContextSolver` adds one record (kind, level or None,
-its arguments, its answer). An answer is read the way the engine reads it:
+its arguments, its answer). The kinds are the levelled `rel_ind`,
+`step_holds` and `bad_cube_at`, and the unlevelled `sat_init`,
+`sat_init_bad`, `sat_step` and `sat_cube_bad`. The frame checker of
+`certify` is not a frame-solver query: a `debug_invariants` run has the
+same records as a plain one. An answer is read the way the engine reads it:
 the verdict and the returned cube of `rel_ind` and `bad_cube_at`, the bool
 of the yes/no queries, and for `sat_init`/`sat_init_bad` the verdict with
 the model's state cube or the core. The counters add up every solver made
@@ -41,7 +45,7 @@ import workloads  # noqa: E402
 from ipdr import engine, incremental, pebbling, peterson, solver  # noqa: E402
 from ipdr.cnf import Clause, Cube  # noqa: E402
 
-LEVELLED = ("rel_ind", "step_holds", "bad_cube_at", "sat_frame_cube")
+LEVELLED = ("rel_ind", "step_holds", "bad_cube_at")
 UNLEVELLED = ("sat_init", "sat_init_bad", "sat_step", "sat_cube_bad")
 
 

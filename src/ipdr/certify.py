@@ -1,18 +1,21 @@
 """Loading a transition system into a solver, and the certificate checks.
 
 `Skeleton` is the one place a system's clauses enter a solver for PDR or
-for checking: the frame solver builds on it, and `check_trace` and
-`check_invariant` each run on a fresh one, so an engine bug cannot certify
-its own output. (The explicit-state oracle in `system` loads systems its
-own way on purpose, as an independent reference.)
-"""
+for checking, and `Frames` the one place frame clauses do. The engine's
+frame solver builds on it; `check_trace` and the frame checker
+(`load_frames`) each run on a fresh one, so an engine bug cannot certify
+its own output. `check_invariant` and the engine's debug sweep
+(`engine.validate_ctx`) both use the frame checker, so a checked run
+searches exactly as an unchecked one. (The explicit-state
+oracle in `system` loads systems its own way on purpose, as an independent
+reference.)"""
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .cnf import Clause, Cube, FAnd, FOr, FVar
-from .solver import SatResult, Solver, tseitin_clauses
+from .solver import SatResult, Solver, model_cube, tseitin_clauses
 from .system import Instance, State, TransitionSystem, full_assumptions
 
 
@@ -27,12 +30,70 @@ def _assert_neg_prop(solver: Solver, prop: tuple[Clause, ...]) -> int:
     return root
 
 
+class Frames:
+    """The delta levels and their activation literals: the one owner of
+    "clause c sits at level i behind literal acts[i]". deltas[0] is unused
+    and level 1 always exists; insertion-ordered dicts keep iteration
+    deterministic across processes. acts (index 0 allocated, unused) is
+    empty in a new generation until the first `ensure_level`. Frame clauses
+    are never retracted: `reset` starts a new generation whose fresh
+    literals leave the old clauses unassumed, and fixes false the literals
+    of the generation before the one it retires, so the solver drops those
+    clauses (`Solver.simplify`) and stops deciding the literals. The
+    generation it retires stays live until the next reset: its literals'
+    saved phases steer the first instance of the new generation, and fixing
+    them at once moved the lock3 relax sweep from 4,708 to 6,058 SAT
+    calls."""
+
+    def __init__(self, solver: Solver):
+        self.solver = solver
+        self.acts: list[int] = []
+        self._retired: list[int] = []  # the last generation's literals, still live
+        self.reset()
+
+    def reset(self) -> None:
+        self.solver.retire(self._retired)
+        self._retired = self.acts
+        self.k = 0
+        self.deltas: list[dict[Clause, None]] = [{}, {}]
+        self.acts = []
+
+    @property
+    def max_level(self) -> int:
+        return len(self.deltas) - 1
+
+    def ensure_level(self, level: int) -> None:
+        """Make levels up to `level` ready to hold clauses and be assumed."""
+        while len(self.deltas) <= level:
+            self.deltas.append({})
+        while len(self.acts) <= level:
+            self.acts.append(self.solver.fresh_var())
+
+    def add(self, clause: Clause, level: int) -> None:
+        """File a clause in deltas[level] and assert it behind acts[level].
+        The caller removes it from any other level. No clause reaches one
+        level of a generation twice: `engine.add_blocked` skips a clause
+        already at or above its target, `engine.propagate` only moves
+        clauses up, and `incremental.relax` places each clause at
+        increasing levels."""
+        self.ensure_level(level)
+        self.deltas[level][clause] = None
+        self.solver.add_clause([-self.acts[level], *clause.lits])
+
+    def frame_clauses(self, i: int) -> list[Clause]:
+        out: list[Clause] = []
+        for j in range(max(i, 1), len(self.deltas)):
+            out.extend(self.deltas[j])
+        return out
+
+
 class Skeleton:
     """One incremental solver with a system loaded. Definitional clauses are
     asserted plainly; the step relation sits behind a step literal, so
     initial-state queries are not distorted by deadlock states; the
     property behind a property literal; and the initial constraint behind a
-    fresh literal per instance binding.
+    fresh literal per instance binding. Frame clauses sit in `frames`,
+    F_i being the clauses of levels >= i and F_0 the initial constraint.
 
     Nothing asserted is ever retracted. Instances differ only by the
     assumption literals `gamma` passed to every query. A new binding fixes
@@ -58,6 +119,7 @@ class Skeleton:
         self.init_act: int | None = None
         self.gamma: tuple[int, ...] = ()
         self.deadline: float | None = None
+        self.frames = Frames(s)
 
     def bind_instance(self, inst: Instance) -> None:
         self.gamma = full_assumptions(inst)
@@ -88,6 +150,28 @@ class Skeleton:
         assumptions = [self.step_act, *self.gamma, *pre.lits]
         assumptions += [primed[l] for l in post.lits]
         return self._solve(assumptions).sat
+
+    def _base(self, level: int) -> list[int]:
+        """Assumptions selecting F_level; level 0 is the initial constraint."""
+        return [self.init_act] if level == 0 else self.frames.acts[level:]
+
+    def bad_cube_at(self, level: int) -> Cube | None:
+        """Model of F_level and not P, as a total state cube."""
+        r = self._solve([*self._base(level), self.neg_prop, *self.gamma])
+        return model_cube(r, self.system.state_vars) if r.sat else None
+
+    def step_holds(self, level: int, clause: Clause, with_prop: bool = True) -> bool:
+        """UNSAT(F_level [and P] and step and not clause')."""
+        primed = self.system.primed
+        assumptions = [*self._base(level), self.step_act, *self.gamma]
+        if with_prop:
+            assumptions.append(self.prop_act)
+        assumptions += [primed[-l] for l in clause.lits]
+        return not self._solve(assumptions).sat
+
+    def excludes(self, level: int, cube: Cube) -> bool:
+        """UNSAT(F_level and P and cube), no step relation."""
+        return not self._solve([*self._base(level), self.prop_act, *self.gamma, *cube.lits]).sat
 
 
 def replay(sk: Skeleton, cubes: Sequence[Cube]) -> dict[str, bool]:
@@ -124,28 +208,34 @@ def check_trace(inst: Instance, states: Sequence[State]) -> dict[str, bool]:
     return replay(_loaded(inst), [sys_.state_cube(st) for st in states])
 
 
+def load_frames(inst: Instance, deltas: Sequence[Iterable[Clause]],
+                deadline: float | None = None) -> Skeleton:
+    """The frame checker: a fresh solver bound to `inst` with deltas[j]
+    filed at level j for j >= 1 (deltas[0] is unused), whose queries
+    honour `deadline`."""
+    chk = Skeleton(inst.system)
+    chk.bind_instance(inst)
+    chk.deadline = deadline
+    for j in range(1, len(deltas)):
+        for c in deltas[j]:
+            chk.frames.add(c, j)
+    return chk
+
+
 def check_invariant(inst: Instance, clauses: Sequence[Clause]) -> dict[str, bool]:
-    """Certify an inductive invariant of `inst` on a fresh solver, one query
-    per clause for initiation and consecution and one for safety. The
-    clause set sits behind an activation literal. It is inductive exactly
-    when each of its clauses holds after a step from the whole set. Raises
-    ValueError on a literal that is not over a state variable."""
+    """Certify an inductive invariant of `inst` as the one level of a frame
+    checker: one query per clause for initiation and consecution, one for
+    safety. It is inductive exactly when each of its clauses holds after a
+    step from the whole set. Raises ValueError on a literal that is not
+    over a state variable."""
     sys_ = inst.system
     for c in clauses:
         for l in c:
             if not sys_.is_state_lit(l):
                 raise ValueError(f"invariant literal {l} is not over a state variable")
-    sk = _loaded(inst)
-    inv_act = sk.solver.fresh_var()
-    for c in clauses:
-        sk.solver.add_clause([-inv_act, *c.lits])
-    base = [inv_act, *sk.gamma]
-    primed = sys_.primed
+    chk = load_frames(inst, [(), clauses])
     return {
-        "invariant-initiation": not any(sk.sat_init(c.negate()).sat for c in clauses),
-        "invariant-consecution": not any(
-            sk._solve([*base, sk.step_act, *[primed[-l] for l in c.lits]]).sat
-            for c in clauses
-        ),
-        "invariant-safety": not sk._solve([*base, sk.neg_prop]).sat,
+        "invariant-initiation": not any(chk.sat_init(c.negate()).sat for c in clauses),
+        "invariant-consecution": all(chk.step_holds(1, c, with_prop=False) for c in clauses),
+        "invariant-safety": chk.bad_cube_at(1) is None,
     }

@@ -29,9 +29,9 @@ import heapq
 import time
 from dataclasses import dataclass, field
 
-from .certify import Skeleton, replay
+from .certify import Frames, Skeleton, load_frames, replay
 from .cnf import Clause, Cube
-from .solver import SatResult, Solver, SolverTimeout, model_cube
+from .solver import SatResult, SolverTimeout, model_cube
 from .system import Instance, State, TransitionSystem
 
 
@@ -122,70 +122,14 @@ def init_cube(system: TransitionSystem) -> frozenset[int] | None:
     return frozenset(lits)
 
 
-class Frames:
-    """The delta levels and their activation literals: the one owner of
-    "clause c sits at level i behind literal acts[i]". deltas[0] is unused
-    and level 1 always exists; insertion-ordered dicts keep iteration
-    deterministic across processes. acts (index 0 allocated, unused) is
-    empty in a new generation until the first `ensure_level`. Frame clauses
-    are never retracted: `reset` starts a new generation whose fresh
-    literals leave the old clauses unassumed, and fixes false the literals
-    of the generation before the one it retires, so the solver drops those
-    clauses (`Solver.simplify`) and stops deciding the literals. The
-    generation it retires stays live until the next reset: its literals'
-    saved phases steer the first instance of the new generation, and fixing
-    them at once moved the lock3 relax sweep from 4,708 to 6,058 SAT
-    calls."""
-
-    def __init__(self, solver: Solver):
-        self.solver = solver
-        self.acts: list[int] = []
-        self._retired: list[int] = []  # the last generation's literals, still live
-        self.reset()
-
-    def reset(self) -> None:
-        self.solver.retire(self._retired)
-        self._retired = self.acts
-        self.k = 0
-        self.deltas: list[dict[Clause, None]] = [{}, {}]
-        self.acts = []
-
-    @property
-    def max_level(self) -> int:
-        return len(self.deltas) - 1
-
-    def ensure_level(self, level: int) -> None:
-        """Make levels up to `level` ready to hold clauses and be assumed."""
-        while len(self.deltas) <= level:
-            self.deltas.append({})
-        while len(self.acts) <= level:
-            self.acts.append(self.solver.fresh_var())
-
-    def add(self, clause: Clause, level: int) -> None:
-        """File a clause in deltas[level] and assert it behind acts[level].
-        The caller removes it from any other level. No clause reaches one
-        level of a generation twice: `add_blocked` skips a clause already
-        at or above its target, `propagate` only moves clauses up, and
-        `relax` places each clause at increasing levels."""
-        self.ensure_level(level)
-        self.deltas[level][clause] = None
-        self.solver.add_clause([-self.acts[level], *clause.lits])
-
-    def frame_clauses(self, i: int) -> list[Clause]:
-        out: list[Clause] = []
-        for j in range(max(i, 1), len(self.deltas)):
-            out.extend(self.deltas[j])
-        return out
-
-
 class SingleContextSolver(Skeleton):
     """The query layer shared by the engine and the incremental drivers: one
-    incremental solver for everything, on the skeleton `certify` loads.
-    Frame clauses sit in `frames` behind per-level activation literals.
-    Temporary clauses (the negation of a cube in a relative-induction query)
-    ride behind one-shot guard literals that are permanently falsified after
-    the query. The solver then drops such a clause as satisfied at level 0
-    (see `Solver.simplify`); the models of the clause set do not change.
+    incremental solver for everything, on the skeleton `certify` loads,
+    frames included. Temporary clauses (the negation of a cube in a
+    relative-induction query) ride behind one-shot guard literals that are
+    permanently falsified after the query. The solver then drops such a
+    clause as satisfied at level 0 (see `Solver.simplify`); the models of
+    the clause set do not change.
     Clauses behind an earlier binding's initial literal (`bind_instance`)
     or an earlier frame generation's activation literals (`Frames.reset`)
     go the same way once their literal is fixed false.
@@ -202,7 +146,6 @@ class SingleContextSolver(Skeleton):
 
     def __init__(self, system: TransitionSystem, config: PdrConfig):
         super().__init__(system, config.seed)
-        self.frames = Frames(self.solver)
         self._s0 = init_cube(system)
         self._init_result: SatResult | None = None  # SAT(I and gamma), per binding
 
@@ -234,19 +177,6 @@ class SingleContextSolver(Skeleton):
             self._init_result = super().sat_init(Cube(()))
         return self._init_result
 
-    def _base(self, level: int) -> list[int]:
-        """Assumptions selecting F_level; level 0 is the initial constraint."""
-        return [self.init_act] if level == 0 else self.frames.acts[level:]
-
-    def bad_cube_at(self, level: int) -> Cube | None:
-        """Model of F_level and not P, as a total state cube."""
-        r = self._solve([*self._base(level), self.neg_prop, *self.gamma])
-        return model_cube(r, self.system.state_vars) if r.sat else None
-
-    def sat_frame_cube(self, level: int, cube: Cube) -> bool:
-        """SAT(F_level and P and cube), no step relation."""
-        return self._solve([*self._base(level), self.prop_act, *self.gamma, *cube.lits]).sat
-
     def rel_ind(self, level: int, cube: Cube) -> tuple[bool, Cube]:
         """Relative induction: SAT(F_level and P and not cube and step and
         cube'). Returns (True, core subcube) when blocked, else (False,
@@ -265,15 +195,6 @@ class SingleContextSolver(Skeleton):
         core = r.core
         kept = tuple([l for l in lits if primed[l] in core])
         return True, Cube._canonical_tuple(kept) if kept else cube
-
-    def step_holds(self, level: int, clause: Clause, with_prop: bool = True) -> bool:
-        """UNSAT(F_level [and P] and step and not clause')."""
-        primed = self.system.primed
-        assumptions = [*self._base(level), self.step_act, *self.gamma]
-        if with_prop:
-            assumptions.append(self.prop_act)
-        assumptions += [primed[-l] for l in clause.lits]
-        return not self._solve(assumptions).sat
 
     @property
     def sat_calls(self) -> int:
@@ -547,7 +468,8 @@ def extract_trace(ctx: PdrCtx, init_cube: Cube, ob: Obligation) -> Trace:
 def validate_ctx(ctx: PdrCtx, frontier_clear: bool = True) -> list[str]:
     """Check the frame and obligation well-formedness properties, returning
     one entry per violation; an empty list means the state is sound to
-    resume from.
+    resume from. Every SAT check runs on a fresh frame checker
+    (`certify.load_frames`), never on `ctx.fs`, so checking moves no search.
 
     Frame checks: a clause sits in at most one delta; every stored clause
     excludes the initial states (so the frames nest above the initial
@@ -561,7 +483,8 @@ def validate_ctx(ctx: PdrCtx, frontier_clear: bool = True) -> list[str]:
     unhandled frontier violation is the normal resumption entry point
     rather than a defect.
     """
-    frames, fs = ctx.frames, ctx.fs
+    frames = ctx.frames
+    chk = load_frames(ctx.instance, frames.deltas, ctx.fs.deadline)
     out: list[str] = []
     for ob in ctx.queue:
         if not (0 <= ob.level <= frames.k):
@@ -569,12 +492,12 @@ def validate_ctx(ctx: PdrCtx, frontier_clear: bool = True) -> list[str]:
         root = ob
         while root.parent is not None:
             root = root.parent
-        if not fs.sat_cube_bad(root.cube):
+        if not chk.sat_cube_bad(root.cube):
             out.append("obligation-chain: chain root does not violate the property")
         if ob.level == 0:
-            excluded = not fs.sat_init(ob.cube).sat
+            excluded = not chk.sat_init(ob.cube).sat
         else:
-            excluded = not fs.sat_frame_cube(ob.level, ob.cube)
+            excluded = chk.excludes(ob.level, ob.cube)
         if not excluded:
             out.append(f"obligation-cube: cube not excluded at level {ob.level}")
     seen: set[Clause] = set()
@@ -583,14 +506,14 @@ def validate_ctx(ctx: PdrCtx, frontier_clear: bool = True) -> list[str]:
             if c in seen:
                 out.append(f"one-delta: a level {j} clause also sits in a lower delta")
             seen.add(c)
-            if fs.sat_init(c.negate()).sat:
+            if chk.sat_init(c.negate()).sat:
                 out.append(f"init-containment: level {j} clause blocks an initial state")
     top = frames.k if frontier_clear else frames.k - 1
     for i in range(0, top + 1):
-        if fs.bad_cube_at(i) is not None:
+        if chk.bad_cube_at(i) is not None:
             out.append(f"frame-safety: frame {i} admits a property violation")
     for i in range(0, frames.k):
         for c in frames.frame_clauses(i + 1):
-            if not fs.step_holds(i, c, with_prop=False):
+            if not chk.step_holds(i, c, with_prop=False):
                 out.append(f"consecution: a step from frame {i} leaves a frame {i + 1} clause")
     return out

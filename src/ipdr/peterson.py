@@ -63,6 +63,8 @@ def encode_peterson(
     level-wait spin (a deliberately broken lock) so the harness can confirm
     that violations are found and reported."""
     n = n_processes
+    if type(n) is not int:
+        raise UsageError(f"process count must be an integer, not {n!r}")
     if n < 2:
         raise UsageError("need at least two processes")
     bounds = sorted(set(int(b) for b in switch_bounds))

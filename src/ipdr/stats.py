@@ -124,7 +124,12 @@ def parse_csv(text: str) -> list[RunStats]:
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is not None and tuple(reader.fieldnames) != CSV_COLUMNS:
         raise ValueError(f"unexpected stats columns: {reader.fieldnames}")
-    return [_from_record(rec) for rec in reader]
+    rows = []
+    for rec in reader:
+        if None in rec or None in rec.values():  # a field too many or too few
+            raise ValueError(f"stats line {reader.line_num}: not the header's field count")
+        rows.append(_from_record(rec))
+    return rows
 
 
 def aggregate(rows: list[RunStats]) -> list[dict]:

@@ -5,7 +5,7 @@ published circuit numbers is informative and never gates."""
 import random
 import time
 
-from ipdr.certify import check_invariant
+from ipdr.certify import check_invariant, load_frames
 from ipdr.engine import (
     BudgetExceeded,
     Invariant,
@@ -24,13 +24,11 @@ from ipdr.incremental import (
 )
 from ipdr.pebbling import Dag, decode_pebbling_trace, encode_pebbling, load_dag
 from ipdr.peterson import encode_peterson
-from ipdr.solver import Solver, SolverTimeout, tseitin_encode
-from ipdr.cnf import FAnd, FVar
+from ipdr.solver import SolverTimeout
 from ipdr.system import (
     InstanceFamily,
     build_explicit,
     build_explicit_family,
-    full_assumptions,
     holds_invariant_explicit,
 )
 
@@ -200,33 +198,14 @@ def test_pebbling_optimum_matches_game_oracle_on_20_dags():
 
 
 def _reverify_frames(ctx, inst):
-    """Every stored clause excludes no initial state and is inductive
-    relative to the frame below it, each on a fresh solver."""
-    sys_ = inst.system
-    gamma = list(full_assumptions(inst))
-
-    def fresh(clause_sets):
-        s = Solver()
-        while s.nvars < sys_.nvars:
-            s.fresh_var()
-        for cs in clause_sets:
-            for c in cs:
-                s.add_clause(c.lits)
-        return s
-
-    def refuted(solver, clause):
-        root = tseitin_encode(solver, FAnd(*[FVar(-l) for l in clause.lits]))
-        return not solver.solve(gamma + [root]).sat
-
+    """Every stored clause excludes no initial state and holds after a step
+    from the frame below it, on a fresh frame checker."""
+    chk = load_frames(inst, ctx.frames.deltas)
     checked = 0
     for j in range(1, ctx.frames.max_level + 1):
-        below = ctx.frames.frame_clauses(j - 1)
         for c in ctx.frames.deltas[j]:
-            s = fresh([sys_.defs, sys_.init])
-            assert refuted(s, c), f"level {j}: clause excludes an initial state"
-            s = fresh([sys_.defs, sys_.trans, below]
-                      + ([sys_.init] if j == 1 else []))
-            assert refuted(s, sys_.prime_clause(c)), f"level {j}: not inductive"
+            assert not chk.sat_init(c.negate()).sat, f"level {j}: excludes an initial state"
+            assert chk.step_holds(j - 1, c, with_prop=False), f"level {j}: not inductive"
             checked += 1
     return checked
 

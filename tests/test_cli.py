@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from ipdr.cli import main
 from ipdr.engine import PdrConfig
 from ipdr.incremental import ipdr_relax, naive_driver
 from ipdr.pebbling import encode_pebbling, load_dag
-from ipdr.stats import parse_csv
+from ipdr.stats import CSV_COLUMNS, parse_csv
 from ipdr.system import parse_explicit_family
 
 from oracles import pebbling_successors
@@ -196,6 +197,22 @@ def test_pebble_frontier_cap_is_unknown(capsys, chain3):
     assert doc["result"] == "unknown"
 
 
+def _without_timings(doc):
+    if isinstance(doc, dict):
+        return {k: _without_timings(v) for k, v in doc.items() if not k.endswith("_s")}
+    if isinstance(doc, list):
+        return [_without_timings(v) for v in doc]
+    return doc
+
+
+@pytest.mark.parametrize("strategy", ["relax", "constrain", "binary", "naive"])
+def test_pebble_debug_invariants_prints_the_plain_document(capsys, strategy):
+    dag = str(Path(__file__).parent.parent / "benchmarks" / "diamond.dag")
+    _, plain = run(capsys, "pebble", dag, "--strategy", strategy)
+    _, checked = run(capsys, "pebble", dag, "--strategy", strategy, "--debug-invariants")
+    assert _without_timings(checked) == _without_timings(plain)
+
+
 # --- peterson ----------------------------------------------------------------------
 
 
@@ -364,6 +381,18 @@ def test_validate_missing_payload(capsys, tmp_path):
     assert code == 2
 
 
+def test_validate_rejects_a_fractional_process_count(capsys, tmp_path):
+    _, _, out = _emit_verdict(capsys, tmp_path, "peterson", "--procs", "2", "--switches", "1")
+    doc = json.loads(out.read_text())
+    doc["problem"]["procs"] = 2.5
+    out.write_text(json.dumps(doc))
+    code = main(["validate", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "process count" in captured.err
+
+
 # --- bench and plot ----------------------------------------------------------------
 
 
@@ -431,6 +460,16 @@ def test_plot_writes_chart_per_problem(capsys, tmp_path, suite):
 def test_plot_missing_file(capsys, tmp_path):
     code, _ = run(capsys, "plot", str(tmp_path / "none.csv"))
     assert code == 2
+
+
+def test_plot_rejects_a_row_with_missing_fields(capsys, tmp_path):
+    stats = tmp_path / "stats.csv"
+    stats.write_text(",".join(CSV_COLUMNS) + "\nnaive,x,p1,invariant,0,0\n")
+    code = main(["plot", str(stats), "--out", str(tmp_path / "plots")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "line 2" in captured.err
 
 
 @pytest.mark.parametrize("where", ["missing", "file"])

@@ -400,7 +400,6 @@ QUERY_KINDS = (
     "step_holds",
     "sat_init",
     "bad_cube_at",
-    "sat_frame_cube",
     "sat_step",
     "sat_init_bad",
     "sat_cube_bad",

@@ -1,12 +1,13 @@
 """Incremental drivers against the naive baseline and the explicit oracle."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ipdr.certify
-from ipdr.certify import check_invariant, check_trace
+from ipdr.certify import check_invariant, check_trace, load_frames
 from ipdr.cnf import Clause
 from ipdr.engine import (
     Invariant,
@@ -193,12 +194,13 @@ def test_relax_copies_pass_posthoc_reverification():
     pdr_main(ctx)
     ctx.rebind(fam.instances[1])
     _, copied = relax(ctx, fam.instances[1])
+    chk = load_frames(fam.instances[1], ctx.frames.deltas)
     total = 0
     for level in range(2, ctx.frames.max_level + 1):
         for c in ctx.frames.deltas[level]:
             total += 1
-            assert not ctx.fs.sat_init(c.negate()).sat
-            assert ctx.fs.step_holds(level - 1, c, with_prop=False)
+            assert not chk.sat_init(c.negate()).sat
+            assert chk.step_holds(level - 1, c, with_prop=False)
     assert total == copied > 0
 
 
@@ -587,6 +589,27 @@ def test_drivers_are_deterministic():
     a = ipdr_constrain(cfam, PdrConfig(seed=3))
     b = ipdr_constrain(cfam, PdrConfig(seed=3))
     assert counter_columns(a) == counter_columns(b)
+
+
+DRIVERS = {"relax": ipdr_relax, "constrain": ipdr_constrain,
+           "binary": ipdr_binary, "naive": naive_driver}
+
+
+@pytest.mark.parametrize("problem", ["lock2", "diamond"])
+@pytest.mark.parametrize("strategy", DRIVERS)
+def test_debug_invariants_leave_the_search_unchanged(strategy, problem):
+    # the debug sweep checks the frames on a solver of its own, so every
+    # row, SAT calls included, and every verdict match the unchecked run
+    direction = "constraining" if strategy == "constrain" else "relaxing"
+    if problem == "lock2":
+        fam = encode_peterson(2, [0, 1, 2], direction=direction)
+    else:
+        diamond = load_dag(str(Path(__file__).parent.parent / "benchmarks" / "diamond.dag"))
+        fam = encode_pebbling(diamond, [1, 2, 3, 4], direction)
+    plain = DRIVERS[strategy](fam, PdrConfig())
+    checked = DRIVERS[strategy](fam, DEBUG)
+    assert counter_columns(checked) == counter_columns(plain)
+    assert replace(checked, per_instance_stats=()) == replace(plain, per_instance_stats=())
 
 
 # --- randomized cross-checks ------------------------------------------------------
