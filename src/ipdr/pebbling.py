@@ -4,12 +4,13 @@ One boolean per node: pebbled or not. Flipping a node in either direction
 requires every predecessor pebbled both before and after the step, any set
 of nodes compatible with that rule may flip simultaneously, and the board
 starts empty. The pebble budget is a totalizer over the next-state
-variables, whose j-th unary output is true iff at least j nodes are
-pebbled. It is imposed per instance by assuming the outputs above the
-budget away, so the initial condition is shared by every family member
-and only the step relation varies. A counterexample to "the goal
-configuration is never reached" is a pebbling strategy; an invariant is an
-impossibility certificate for the budget.
+variables, whose j-th unary output is forced true once j nodes are pebbled
+(the upward half only; see `totalizer_clauses`). It is imposed per
+instance by assuming the outputs above the budget false, so the initial
+condition is shared by every family member and only the step relation
+varies. A counterexample to "the goal configuration is never reached" is a
+pebbling strategy; an invariant is an impossibility certificate for the
+budget.
 """
 
 from __future__ import annotations

@@ -845,51 +845,42 @@ def tseitin_clauses(alloc, formula: Formula) -> tuple[int, list[Clause]]:
     return root, out
 
 
-def tseitin_encode(solver: Solver, formula: Formula) -> int:
-    """Encode directly into a solver; returns the root literal."""
-    root, clauses = tseitin_clauses(solver, formula)
-    for c in clauses:
-        solver.add_clause(c.lits)
-    return root
-
-
 # --- totalizer -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CountingLadder:
     """Unary counting outputs over a fixed literal list: outputs[j-1] is
-    true iff at least j of the counted literals are true. Bounds are imposed
-    per query by assuming output negations; nothing is asserted here."""
+    forced true once j of the counted literals are true, and is otherwise
+    free. Bounds are imposed per query by assuming output negations;
+    nothing is asserted here."""
 
     counted: tuple[int, ...]
     outputs: tuple[int, ...]
 
     def at_most_assumptions(self, bound: int) -> tuple[int, ...]:
         """Assumption literals imposing count <= bound (release-style: all
-        outputs above the bound are negated; the outputs are monotone, so
-        the first one is sufficient and the rest are then implied)."""
+        outputs above the bound are negated). Under them the clauses are
+        satisfiable exactly when at most `bound` literals are true."""
         if bound < 0:
             raise ValueError("bound must be >= 0")
         return tuple(-o for o in self.outputs[bound:])
 
-    def at_least_assumptions(self, bound: int) -> tuple[int, ...]:
-        if bound <= 0:
-            return ()
-        if bound > len(self.outputs):
-            raise ValueError("bound exceeds the number of counted literals")
-        return (self.outputs[bound - 1],)
-
 
 def totalizer_clauses(alloc, lits: Sequence[int]) -> tuple[CountingLadder, list[Clause]]:
-    """Totalizer (Bailleux & Boufkhad, CP 2003) with both implication
-    directions, so the outputs are functionally determined by the counted
-    literals. A leaf is a counted literal; a node splits its literals at
-    ceil(n/2) and sums its children's unary outputs a and b into r:
-    up (a_i & b_j -> r_{i+j}) and down (r_{i+j+1} -> a_{i+1} | b_{j+1}),
-    with a_0 = b_0 = true and a, b false past their ends. O(n log n)
-    auxiliary variables, where a sequential counter takes n(n+1)/2. The
-    counted literals must be over distinct variables."""
+    """Totalizer (Bailleux & Boufkhad, CP 2003) with the upward direction
+    only: outputs[j-1] is forced true once j counted literals are true. A
+    leaf is a counted literal; a node splits its literals at ceil(n/2) and
+    sums its children's unary outputs a and b into r by the clauses
+    a_i & b_j -> r_{i+j}, with a_0 = b_0 = true. Bounds are only ever
+    imposed by assuming outputs false, and against a false output only the
+    upward clauses prune, so the downward half (r_{i+j+1} -> a_{i+1} |
+    b_{j+1}), which would make the outputs functionally determined, is
+    left out (the one-polarity argument of Plaisted & Greenbaum, JSC 1986).
+    The clauses are total: every assignment of the counted literals extends
+    to the outputs (all true, say). O(n log n) auxiliary variables, where a
+    sequential counter takes n(n+1)/2. The counted literals must be over
+    distinct variables."""
     out: list[Clause] = []
 
     def node(part: Sequence[int]) -> list[int]:
@@ -907,21 +898,7 @@ def totalizer_clauses(alloc, lits: Sequence[int]) -> tuple[CountingLadder, list[
                         up.append(-b[j - 1])
                     up.append(r[i + j - 1])
                     out.append(Clause(up))
-                if i + j < len(r):
-                    down = [a[i]] if i < len(a) else []
-                    if j < len(b):
-                        down.append(b[j])
-                    down.append(-r[i + j])
-                    out.append(Clause(down))
         return r
 
     outputs = node(lits) if lits else []
     return CountingLadder(tuple(lits), tuple(outputs)), out
-
-
-def encode_at_most(solver: Solver, lits: Sequence[int]) -> CountingLadder:
-    """Encode the totalizer directly into a solver."""
-    counter, clauses = totalizer_clauses(solver, lits)
-    for c in clauses:
-        solver.add_clause(c.lits)
-    return counter

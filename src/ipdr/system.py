@@ -3,11 +3,13 @@ variables, instance families sharing one encoding, and explicit-state
 reachability oracles for cross-checking.
 
 A system's clauses split three ways: `defs` are definitional (Tseitin and
-counter variables, functionally determined by the variables they mention and
-therefore always safe to assert), `init`/`trans`/`prop` are constraints.
-Instances of a family never change the clause set; they select behaviour
-purely through assumption literals (selector guards and counter bounds), so
-one incremental solver context serves a whole family.
+counter variables) and total: every assignment of the other variables
+extends to the auxiliary ones, so asserting them removes no state and no
+step. They need not be functionally determined; the pebble-budget
+totalizer is not. `init`/`trans`/`prop` are constraints. Instances of a
+family never change the clause set; they select behaviour purely through
+assumption literals (selector guards and counter bounds), so one
+incremental solver context serves a whole family.
 """
 
 from __future__ import annotations
@@ -67,12 +69,6 @@ class TransitionSystem:
         if uv is None:
             raise ValueError(f"variable {v} is not a primed variable")
         return uv if lit > 0 else -uv
-
-    def prime_cube(self, cube: Cube) -> Cube:
-        return Cube(self.prime_lit(l) for l in cube)
-
-    def prime_clause(self, clause: Clause) -> Clause:
-        return Clause(self.prime_lit(l) for l in clause)
 
     def unprime_cube(self, cube: Cube) -> Cube:
         return Cube(self.unprime_lit(l) for l in cube)
@@ -239,11 +235,22 @@ def _map_clause(clause: Clause, mapping: dict[int, int]) -> Clause:
 
 
 def check_refines(inst1: Instance, inst2: Instance) -> bool:
-    """True iff instance 1 refines instance 2: I1 implies I2 and the step
-    relation of 1 is contained in that of 2. Both checks are SAT queries; the
-    negated side's clause conjunction is Tseitin-negated with its
-    definitional clauses asserted (the counter and Tseitin variables are
-    functionally determined, so the negation commutes with projection)."""
+    """Whether instance 1 refines instance 2: I1 implies I2 and the step
+    relation of 1 is contained in that of 2. Both checks are SAT queries
+    UNSAT(defs1 & C1 & defs2 & not C2), where the negated side's clause
+    conjunction C2 is Tseitin-negated and both sides' definitional clauses
+    are asserted.
+
+    A True answer is always right: defs2 is total, so every model of
+    defs1 & C1 extends to one of defs2, and that extension satisfies C2. A
+    False answer is exact when the auxiliary values are functionally
+    determined, or when both instances share one system and C2 is a subset
+    of C1 whenever refinement holds. That covers every family the encoders
+    build: explicit systems and the filter lock have determined defs, and a
+    pebbling instance with the smaller budget assumes a superset of the
+    other's negated totalizer outputs. Across two different systems whose
+    defs are not determined, the check may answer False where refinement
+    holds, never a wrong True."""
     s1, s2 = inst1.system, inst2.system
     if s1.state_vars != s2.state_vars or s1.primed_vars != s2.primed_vars:
         raise ValueError("refinement needs a shared state vocabulary")
@@ -535,6 +542,8 @@ def parse_explicit_family(text: str) -> InstanceFamily:
         try:
             if kind == "var":
                 (name,) = args
+                if name in names:
+                    raise ValueError(f"duplicate variable {name!r}")
                 names.append(name)
             elif kind == "init":
                 (bits,) = args
@@ -558,11 +567,3 @@ def parse_explicit_family(text: str) -> InstanceFamily:
         raise ValueError(f"group indices must be 1..{len(grouped)}: {sorted(grouped)}")
     groups = [grouped[i] for i in sorted(grouped)]
     return build_explicit_family(names, inits, edges, groups, bads, direction)
-
-
-def parse_explicit_system(text: str) -> Instance:
-    """Single-instance form of parse_explicit_family."""
-    fam = parse_explicit_family(text)
-    if len(fam.instances) != 1:
-        raise ValueError("file declares a family, not a single system")
-    return fam.instances[0]

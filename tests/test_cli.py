@@ -111,6 +111,19 @@ def test_solve_malformed_file(capsys, tmp_path):
     assert doc is None
 
 
+@pytest.mark.parametrize("init", ["00", "0"])
+def test_solve_rejects_a_duplicate_variable(capsys, tmp_path, init):
+    # a repeated name is refused by name, whether or not the state bits
+    # match the doubled width
+    f = tmp_path / "dup.sys"
+    f.write_text(f"var a\nvar a\ninit {init}\nedge 00 11\nbad 11\n")
+    code = main(["solve", str(f)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "line 2: duplicate variable 'a'" in captured.err
+
+
 def test_solve_rejects_binary(capsys, tmp_path):
     f = tmp_path / "fam.sys"
     f.write_text(RELAXING_SYS)

@@ -1,5 +1,8 @@
 """Pebbling encoder, dependency-dag parsing, and game-oracle agreement."""
 
+import itertools
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,10 +12,19 @@ from ipdr.pebbling import (
     Dag,
     decode_pebbling_trace,
     encode_pebbling,
+    load_dag,
     parse_dag,
     parse_tfc,
 )
-from ipdr.system import State, check_refines, enumerate_init_states, explicit_reachable
+from ipdr.solver import Solver
+from ipdr.system import (
+    State,
+    check_refines,
+    effective_trans,
+    enumerate_init_states,
+    explicit_reachable,
+    successors,
+)
 
 from oracles import pebbling_game_strategy, pebbling_min_budget
 
@@ -163,6 +175,27 @@ def test_budget_instances_form_a_refinement_chain():
     assert check_refines(p1, p2)
     assert check_refines(p2, p3)
     assert not check_refines(p2, p1)
+
+
+def test_refinement_matches_step_set_inclusion_on_diamond():
+    # the budget totalizer leaves its outputs free below the count, so
+    # check_refines is compared with the explicit step sets of every budget
+    dag = load_dag(str(Path(__file__).parent.parent / "benchmarks" / "diamond.dag"))
+    fam = encode_pebbling(dag, [1, 2, 3, 4])
+    sys_ = fam.system
+    states = [State(bits) for bits in itertools.product((False, True), repeat=4)]
+    steps = {}
+    for inst in fam.instances:
+        solver = Solver()
+        solver.fresh_vars(sys_.nvars)
+        for c in list(sys_.defs) + effective_trans(inst):
+            solver.add_clause(c.lits)
+        steps[inst.param] = {(s, t) for s in states for t in successors(solver, inst, s)}
+    assert steps[1] < steps[2] < steps[3] < steps[4]
+    # every budget shares the empty board, so refinement is step inclusion
+    assert len({tuple(enumerate_init_states(i)) for i in fam.instances}) == 1
+    for a, b in itertools.product(fam.instances, repeat=2):
+        assert check_refines(a, b) == (steps[a.param] <= steps[b.param])
 
 
 def test_budget_bounds_the_reachable_configurations():

@@ -19,17 +19,14 @@ from ipdr.solver import (
     FALSE,
     TRUE,
     UNDEF,
-    CountingLadder,
     SatResult,
     Solver,
     SolverTimeout,
     VarPool,
     _luby,
-    encode_at_most,
     totalizer_clauses,
     model_cube,
     tseitin_clauses,
-    tseitin_encode,
 )
 
 from oracles import cnf_satisfiable, all_assignments, clause_true, count_true
@@ -791,12 +788,18 @@ def test_restart_checks_the_deadline():
 # --- Tseitin -------------------------------------------------------------------
 
 
+def add_clauses(s, clauses):
+    for c in clauses:
+        s.add_clause(c.lits)
+
+
 def test_tseitin_passthrough():
     s = Solver()
     x = s.fresh_var()
-    assert tseitin_encode(s, FVar(x)) == x
-    assert tseitin_encode(s, FNot(FVar(x))) == -x
-    assert tseitin_encode(s, FNot(FNot(FVar(x)))) == x
+    assert tseitin_clauses(s, FVar(x)) == (x, [])
+    assert tseitin_clauses(s, FNot(FVar(x))) == (-x, [])
+    assert tseitin_clauses(s, FNot(FNot(FVar(x)))) == (x, [])
+    assert s.nvars == 1
 
 
 def test_tseitin_example_conjunction():
@@ -804,7 +807,8 @@ def test_tseitin_example_conjunction():
     # clauses exactly when x1=1, x2=0
     s = Solver()
     x1, x2 = s.fresh_vars(2)
-    root = tseitin_encode(s, FAnd(FVar(x1), FNot(FVar(x2))))
+    root, clauses = tseitin_clauses(s, FAnd(FVar(x1), FNot(FVar(x2))))
+    add_clauses(s, clauses)
     r = s.solve([root])
     assert r.sat and r.value(x1) and not r.value(x2)
     assert not s.solve([root, x2]).sat
@@ -854,32 +858,42 @@ def test_ladder_outputs_follow_counts(n):
     assert len(counter.outputs) == n
     aux_vars = list(range(n + 1, pool.n + 1))
     for asg in all_assignments(lits):
-        # exactly one aux extension, and outputs match the count
         exts = []
         for aux_asg in all_assignments(aux_vars):
             full = {**asg, **aux_asg}
             if all(clause_true(c, full) for c in clauses):
                 exts.append(full)
-        assert len(exts) == 1
-        full = exts[0]
+        # total: every assignment of the counted literals extends
+        assert exts
         c = count_true(lits, asg)
-        for j, o in enumerate(counter.outputs, start=1):
-            assert full[o] == (c >= j)
+        # each output is forced true once its count is reached
+        for full in exts:
+            assert all(full[o] for o in counter.outputs[:c])
+        # the bound p holds by assumption exactly when the count is <= p
+        for p in range(n + 1):
+            fits = any(not any(full[o] for o in counter.outputs[p:]) for full in exts)
+            assert fits == (c <= p)
 
 
 def test_totalizer_size_is_n_log_n():
-    # a sequential counter takes 276 aux variables and 1,058 clauses here
+    # a sequential counter takes 276 aux variables here
     pool = VarPool(23)
     counter, clauses = totalizer_clauses(pool, list(range(1, 24)))
     assert pool.n - 23 == 106
-    assert len(clauses) == 718
+    assert len(clauses) == 359
     assert len(counter.outputs) == 23
+
+
+def ladder(s, lits):
+    counter, clauses = totalizer_clauses(s, lits)
+    add_clauses(s, clauses)
+    return counter
 
 
 def test_ladder_bound_by_assumption():
     s = Solver()
     lits = s.fresh_vars(4)
-    counter = encode_at_most(s, lits)
+    counter = ladder(s, lits)
     # one encoding serves every bound in the family
     for p in range(0, 5):
         assumptions = list(counter.at_most_assumptions(p))
@@ -893,18 +907,9 @@ def test_ladder_bound_by_assumption():
 def test_ladder_negative_literals_counted():
     s = Solver()
     x, y = s.fresh_vars(2)
-    counter = encode_at_most(s, [x, -y])
+    counter = ladder(s, [x, -y])
     r = s.solve(list(counter.at_most_assumptions(0)))
     assert r.sat and not r.value(x) and r.value(y)
-
-
-def test_ladder_at_least():
-    s = Solver()
-    lits = s.fresh_vars(3)
-    counter = encode_at_most(s, lits)
-    r = s.solve(list(counter.at_least_assumptions(3)))
-    assert r.sat and all(r.value(l) for l in lits)
-    assert not s.solve(list(counter.at_least_assumptions(2)) + [-l for l in lits[:2]]).sat
 
 
 # --- stress: bigger random instances against a simple DPLL ------------------------
