@@ -1,14 +1,15 @@
-"""Loading a transition system into a solver, and the certificate checks.
+"""Loading a transition system into a solver, the certificate checks, and
+the refinement check.
 
-`Skeleton` is the one place a system's clauses enter a solver for PDR or
-for checking, and `Frames` the one place frame clauses do. The engine's
-frame solver builds on it; `check_trace` and the frame checker
-(`load_frames`) each run on a fresh one, so an engine bug cannot certify
-its own output. `check_invariant` and the engine's debug sweep
-(`engine.validate_ctx`) both use the frame checker, so a checked run
-searches exactly as an unchecked one. (The explicit-state
-oracle in `system` loads systems its own way on purpose, as an independent
-reference.)"""
+`Skeleton` is the one place a system's clauses enter a solver for PDR, for
+checking and for refinement, and `Frames` the one place frame clauses do.
+The engine's frame solver builds on it; `check_trace`, the frame checker
+(`load_frames`) and `check_refines` each run on a fresh one, so an engine
+bug cannot certify its own output. `check_invariant` and the engine's debug
+sweep (`engine.validate_ctx`) both use the frame checker, so a checked run
+searches exactly as an unchecked one. The one exception is on purpose: the
+explicit-state oracle in `system` loads systems its own way, as an
+independent reference."""
 
 from __future__ import annotations
 
@@ -16,16 +17,18 @@ from typing import Iterable, Sequence
 
 from .cnf import Clause, Cube, FAnd, FOr, FVar
 from .solver import SatResult, Solver, model_cube, tseitin_clauses
-from .system import Instance, State, TransitionSystem, full_assumptions
+from .system import (Instance, State, TransitionSystem, effective_init,
+                     effective_trans, full_assumptions)
 
 
-def _assert_neg_prop(solver: Solver, prop: tuple[Clause, ...]) -> int:
-    """Define a literal equivalent to the property's negation."""
-    if not prop:
+def _assert_negation(solver: Solver, clauses: Sequence[Clause]) -> int:
+    """Define a literal equivalent to the negation of a clause conjunction
+    (false for the empty one)."""
+    if not clauses:
         return -solver.true_lit()
-    f = FOr(*[FAnd(*[FVar(-l) for l in c]) for c in prop])
-    root, clauses = tseitin_clauses(solver, f)
-    for c in clauses:
+    f = FOr(*[FAnd(*[FVar(-l) for l in c]) for c in clauses])
+    root, defs = tseitin_clauses(solver, f)
+    for c in defs:
         solver.add_clause(c.lits)
     return root
 
@@ -115,7 +118,7 @@ class Skeleton:
         self.prop_act = s.fresh_var()
         for c in system.prop:
             s.add_clause([-self.prop_act, *c.lits])
-        self.neg_prop = _assert_neg_prop(s, system.prop)
+        self.neg_prop = _assert_negation(s, system.prop)
         self.init_act: int | None = None
         self.gamma: tuple[int, ...] = ()
         self.deadline: float | None = None
@@ -239,3 +242,29 @@ def check_invariant(inst: Instance, clauses: Sequence[Clause]) -> dict[str, bool
         "invariant-consecution": all(chk.step_holds(1, c, with_prop=False) for c in clauses),
         "invariant-safety": chk.bad_cube_at(1) is None,
     }
+
+
+def check_refines(inst1: Instance, inst2: Instance) -> bool:
+    """Whether instance 1 refines instance 2: its initial states satisfy
+    I2 and its steps satisfy T2, where I2 and T2 are instance 2's
+    guard-reduced initial and step constraints (`effective_init`,
+    `effective_trans`; T2 includes its counter bounds). Instance 1 is seen
+    as PDR's queries see it, under its assumptions `gamma`. One skeleton
+    bound to instance 1 asks UNSAT(I1 and not I2) and UNSAT(T1 and not T2),
+    each negation one Tseitin literal.
+
+    Both instances must share one system, as a family's members do; raises
+    ValueError otherwise. A True answer is always right: the auxiliary
+    values that admit a state or step in instance 1 admit it in instance 2.
+    A False answer is exact when the auxiliary values are functionally
+    determined by the states, as for explicit systems and the filter lock,
+    or when T2 is a subset of T1 whenever refinement holds, as for pebbling
+    budgets: the smaller budget assumes a superset of the larger one's
+    totalizer outputs."""
+    if inst1.system is not inst2.system:
+        raise ValueError("refinement is checked between instances of one system")
+    sk = _loaded(inst1)
+    not_init = _assert_negation(sk.solver, effective_init(inst2))
+    not_step = _assert_negation(sk.solver, effective_trans(inst2))
+    return not (sk._solve([sk.init_act, *sk.gamma, not_init]).sat
+                or sk._solve([sk.step_act, *sk.gamma, not_step]).sat)

@@ -35,8 +35,9 @@ from .incremental import (
     ipdr_relax,
     naive_driver,
 )
-from .pebbling import Dag, decode_pebbling_trace, encode_pebbling, load_dag
-from .peterson import describe_state, encode_peterson
+from .pebbling import (Dag, check_budgets, decode_pebbling_trace, encode_pebbling,
+                       load_dag)
+from .peterson import check_switch_bounds, describe_state, encode_peterson
 from .solver import SolverTimeout
 from .stats import (METRIC_COLUMNS, RunStats, aggregate, emit_aggregate_csv,
                     emit_csv, parse_csv)
@@ -94,10 +95,13 @@ def _family(problem: dict, dag: Dag | None = None) -> InstanceFamily:
     if kind in ("system", "family"):
         return parse_explicit_family(Path(problem["source"]).read_text())
     if kind == "pebbling":
+        dag = dag or load_dag(problem["source"])
         lo, hi = problem["pebbles"]
-        return encode_pebbling(dag or load_dag(problem["source"]), list(range(lo, hi + 1)))
+        check_budgets(dag, lo, hi)
+        return encode_pebbling(dag, list(range(lo, hi + 1)))
     if kind == "peterson":
         lo, hi = problem["switches"]
+        check_switch_bounds(problem["procs"], lo, hi)
         return encode_peterson(
             problem["procs"],
             list(range(lo, hi + 1)),
@@ -115,11 +119,7 @@ def _drive(
         return ipdr_binary(family, pdr)
     if strategy == "naive":
         return naive_driver(family, pdr)
-    direction = "constraining" if strategy == "constrain" else "relaxing"
-    if family.direction != direction:
-        family = InstanceFamily(
-            family.system, tuple(reversed(family.instances)), direction
-        )
+    family = family.oriented("constraining" if strategy == "constrain" else "relaxing")
     return (ipdr_constrain if strategy == "constrain" else ipdr_relax)(family, pdr)
 
 

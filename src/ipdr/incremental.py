@@ -309,9 +309,7 @@ def ipdr_binary(family: InstanceFamily, config: PdrConfig | None = None) -> Opti
     constraining down from a budget where the property fails costs more
     than it saves. At most one cached engine state is alive."""
     cfg = config or PdrConfig()
-    insts = list(family.instances)
-    if family.direction == "constraining":
-        insts.reverse()
+    insts = family.oriented("relaxing").instances
     params = [i.param for i in insts]
     if any(p is None for p in params):
         raise UsageError("binary search needs integer instance parameters")

@@ -172,18 +172,24 @@ def load_dag(path: str) -> Dag:
     return parse_dag(text)
 
 
+def check_budgets(dag: Dag, lo: int, hi: int) -> None:
+    """Raise UsageError unless the budgets lo..hi lie in [1, number of
+    nodes]; a caller checks a span's ends before it lists the span."""
+    n = len(dag.nodes)
+    if lo < 1 or hi > n:
+        raise UsageError(f"pebble budgets must lie in [1, {n}]")
+
+
 def encode_pebbling(
     dag: Dag, p_values: list[int], direction: str = "relaxing"
 ) -> InstanceFamily:
     """Family over pebble budgets. Instance parameter p assumes the
     totalizer outputs above p away; raising p releases assumptions, so
     ascending budgets relax."""
-    n = len(dag.nodes)
     ps = sorted(set(p_values))
     if not ps:
         raise UsageError("need at least one pebble budget")
-    if ps[0] < 1 or ps[-1] > n:
-        raise UsageError(f"pebble budgets must lie in [1, {n}]")
+    check_budgets(dag, ps[0], ps[-1])
     pool = VarPool()
     cur = {v: pool.fresh_var() for v in dag.nodes}
     nxt = {v: pool.fresh_var() for v in dag.nodes}
@@ -219,9 +225,7 @@ def encode_pebbling(
         )
         for p in ps
     )
-    if direction == "constraining":
-        members = tuple(reversed(members))
-    return InstanceFamily(system=system, instances=members, direction=direction)
+    return InstanceFamily(system, members, "relaxing").oriented(direction)
 
 
 # --- strategy decoding ------------------------------------------------------------

@@ -53,6 +53,29 @@ def _framed(guards: list[int], reg: _Reg) -> list[Clause]:
     return out
 
 
+def check_switch_bounds(n: int, lo: int, hi: int) -> tuple[int, int]:
+    """Check an n-process lock with switch bounds lo..hi against the state
+    budget, before the span is listed, and return the widths of its pc and
+    process-id registers. Raises UsageError on a bad process count, a
+    negative bound or a state vector over the budget."""
+    if type(n) is not int:
+        raise UsageError(f"process count must be an integer, not {n!r}")
+    if n < 2:
+        raise UsageError("need at least two processes")
+    if lo < 0:
+        raise UsageError("switch bounds must be nonnegative")
+    npc = 2 * n - 1  # pc values: set(l)=2l-2, wait(l)=2l-1, crit=2n-2
+    b_pc = max(1, (npc - 1).bit_length())
+    b_id = max(1, (n - 1).bit_length())
+    nstate = n * (b_pc + b_id) + (n - 1) * b_id + b_id + hi
+    if nstate > _MAX_STATE_VARS:
+        raise UsageError(
+            f"{n} processes with bound {hi} need {nstate} state variables"
+            f" (budget {_MAX_STATE_VARS})"
+        )
+    return b_pc, b_id
+
+
 def encode_peterson(
     n_processes: int,
     switch_bounds: list[int],
@@ -63,25 +86,12 @@ def encode_peterson(
     level-wait spin (a deliberately broken lock) so the harness can confirm
     that violations are found and reported."""
     n = n_processes
-    if type(n) is not int:
-        raise UsageError(f"process count must be an integer, not {n!r}")
-    if n < 2:
-        raise UsageError("need at least two processes")
     bounds = sorted(set(int(b) for b in switch_bounds))
     if not bounds:
         raise UsageError("need at least one switch bound")
-    if bounds[0] < 0:
-        raise UsageError("switch bounds must be nonnegative")
+    b_pc, b_id = check_switch_bounds(n, bounds[0], bounds[-1])
     cap = bounds[-1]
-    npc = 2 * n - 1  # pc values: set(l)=2l-2, wait(l)=2l-1, crit=2n-2
-    b_pc = max(1, (npc - 1).bit_length())
-    b_id = max(1, (n - 1).bit_length())
-    nstate = n * (b_pc + b_id) + (n - 1) * b_id + b_id + cap
-    if nstate > _MAX_STATE_VARS:
-        raise UsageError(
-            f"{n} processes with bound {cap} need {nstate} state variables"
-            f" (budget {_MAX_STATE_VARS})"
-        )
+    npc = 2 * n - 1
 
     def set_pc(l: int) -> int:
         return 2 * l - 2
@@ -240,9 +250,7 @@ def encode_peterson(
         )
         for b in bounds
     )
-    if direction == "constraining":
-        members = tuple(reversed(members))
-    return InstanceFamily(system=system, instances=members, direction=direction)
+    return InstanceFamily(system, members, "relaxing").oriented(direction)
 
 
 def describe_state(system: TransitionSystem, state) -> dict:

@@ -270,13 +270,20 @@ class Solver:
         self.watches[self._lit_idx(clause[0])].append(clause)
         self.watches[self._lit_idx(clause[1])].append(clause)
 
-    def _unwatch(self, clause: list[int]) -> None:
-        for lit in (clause[0], clause[1]):
-            wl = self.watches[self._lit_idx(lit)]
-            for i, c in enumerate(wl):
-                if c is clause:
-                    wl.pop(i)
-                    break
+    def _detach(self, dropped: Iterable[list[int]]) -> set[int]:
+        """Remove the dropped clauses from the two watch lists each sits in,
+        one filter pass per list; the other watchers keep their order.
+        Returns the ids of the dropped clauses."""
+        removed: set[int] = set()
+        dirty: set[int] = set()
+        for c in dropped:
+            removed.add(id(c))
+            dirty.add(self._lit_idx(c[0]))
+            dirty.add(self._lit_idx(c[1]))
+        watches = self.watches
+        for i in dirty:
+            watches[i] = [c for c in watches[i] if id(c) not in removed]
+        return removed
 
     # --- trail ---------------------------------------------------------------
 
@@ -626,11 +633,9 @@ class Solver:
         meta = self._learnt_meta
         candidates = [c for c in self.learnts if len(c) > 2 and id(c) not in locked]
         candidates.sort(key=lambda c: (meta[id(c)][0], -meta[id(c)][1]))
-        drop = set()
-        for c in candidates[: len(candidates) // 2]:
-            drop.add(id(c))
-            self._unwatch(c)
-            del meta[id(c)]
+        drop = self._detach(candidates[: len(candidates) // 2])
+        for i in drop:
+            del meta[i]
         self.learnts = [c for c in self.learnts if id(c) not in drop]
 
     def simplify(self) -> None:
@@ -655,8 +660,7 @@ class Solver:
         # clause satisfied at level 0 and a learnt holds no level-0 literal,
         # so no stored clause holds a literal fixed before that pass
         true_lits = set(self.trail[max(self._simp_assigns, 0):])
-        removed: set[int] = set()
-        dirty: set[int] = set()
+        dropped: list[list[int]] = []
 
         def keep(db: list[list[int]]) -> list[list[int]]:
             kept = []
@@ -664,22 +668,18 @@ class Solver:
                 if true_lits.isdisjoint(c):
                     kept.append(c)
                 else:
-                    removed.add(id(c))
-                    dirty.add(self._lit_idx(c[0]))
-                    dirty.add(self._lit_idx(c[1]))
+                    dropped.append(c)
             return kept
 
         self.clauses = keep(self.clauses)
         learnts = keep(self.learnts)
+        removed = self._detach(dropped)
         if len(learnts) < len(self.learnts):
             meta = self._learnt_meta
             for c in self.learnts:
                 if id(c) in removed:
                     del meta[id(c)]
             self.learnts = learnts
-        watches = self.watches
-        for i in dirty:
-            watches[i] = [c for c in watches[i] if id(c) not in removed]
         self._simp_assigns = len(self.trail)
         db_lits = sum(map(len, self.clauses)) + sum(map(len, self.learnts))
         self._simp_due = self.n_propagations + db_lits

@@ -15,9 +15,9 @@ incremental solver context serves a whole family.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .cnf import Clause, Cube, FAnd, FOr, FVar, Formula, var_of
+from .cnf import Clause, Cube, FAnd, FOr, FVar, var_of
 from .solver import Solver, VarPool, tseitin_clauses
 
 
@@ -148,6 +148,13 @@ class InstanceFamily:
             if inst.system is not self.system:
                 raise ValueError("family instances must share one system")
 
+    def oriented(self, direction: str) -> "InstanceFamily":
+        """This family listed in `direction`: itself, or its instances
+        reversed."""
+        if direction == self.direction:
+            return self
+        return InstanceFamily(self.system, self.instances[::-1], direction)
+
 
 # --- guard reduction -----------------------------------------------------------
 
@@ -209,106 +216,26 @@ def effective_trans(inst: Instance) -> list[Clause]:
     return out
 
 
-# --- refinement ------------------------------------------------------------------
-
-
-def _load_system(solver: Solver, system: TransitionSystem, shift: bool) -> dict[int, int]:
-    """Allocate this system's variables in `solver`. When shift is False the
-    system's own ids are used (solver must be fresh); when True, every
-    variable is remapped to a fresh id (for loading a second system whose
-    state variables coincide with the first's)."""
-    if not shift:
-        while solver.nvars < system.nvars:
-            solver.fresh_var()
-        return {v: v for v in range(1, system.nvars + 1)}
-    mapping: dict[int, int] = {}
-    for v in list(system.state_vars) + list(system.primed_vars):
-        mapping[v] = v  # shared vocabulary
-    for v in range(1, system.nvars + 1):
-        if v not in mapping:
-            mapping[v] = solver.fresh_var()
-    return mapping
-
-
-def _map_clause(clause: Clause, mapping: dict[int, int]) -> Clause:
-    return Clause((mapping[var_of(l)] if l > 0 else -mapping[var_of(l)]) for l in clause)
-
-
-def check_refines(inst1: Instance, inst2: Instance) -> bool:
-    """Whether instance 1 refines instance 2: I1 implies I2 and the step
-    relation of 1 is contained in that of 2. Both checks are SAT queries
-    UNSAT(defs1 & C1 & defs2 & not C2), where the negated side's clause
-    conjunction C2 is Tseitin-negated and both sides' definitional clauses
-    are asserted.
-
-    A True answer is always right: defs2 is total, so every model of
-    defs1 & C1 extends to one of defs2, and that extension satisfies C2. A
-    False answer is exact when the auxiliary values are functionally
-    determined, or when both instances share one system and C2 is a subset
-    of C1 whenever refinement holds. That covers every family the encoders
-    build: explicit systems and the filter lock have determined defs, and a
-    pebbling instance with the smaller budget assumes a superset of the
-    other's negated totalizer outputs. Across two different systems whose
-    defs are not determined, the check may answer False where refinement
-    holds, never a wrong True."""
-    s1, s2 = inst1.system, inst2.system
-    if s1.state_vars != s2.state_vars or s1.primed_vars != s2.primed_vars:
-        raise ValueError("refinement needs a shared state vocabulary")
-
-    def entails(pos_defs, pos_clauses, neg_defs, neg_clauses, solver, m2) -> bool:
-        # UNSAT(pos AND NOT neg)?
-        for c in pos_defs:
-            solver.add_clause(c.lits)
-        for c in pos_clauses:
-            solver.add_clause(c.lits)
-        for c in neg_defs:
-            solver.add_clause(_map_clause(c, m2).lits)
-        if not neg_clauses:
-            return True  # negation of an empty conjunction is false
-        disjuncts = [
-            FAnd(*[FVar(-l) for l in _map_clause(c, m2)]) for c in neg_clauses
-        ]
-        root, tclauses = tseitin_clauses(solver, FOr(*disjuncts))
-        for c in tclauses:
-            solver.add_clause(c.lits)
-        return not solver.solve([root]).sat
-
-    solver_i = Solver()
-    m1 = _load_system(solver_i, s1, shift=False)
-    m2 = _load_system(solver_i, s2, shift=s2 is not s1)
-    if not entails(s1.defs, effective_init(inst1), s2.defs, effective_init(inst2), solver_i, m2):
-        return False
-    solver_t = Solver()
-    m1 = _load_system(solver_t, s1, shift=False)
-    m2 = _load_system(solver_t, s2, shift=s2 is not s1)
-    return entails(s1.defs, effective_trans(inst1), s2.defs, effective_trans(inst2), solver_t, m2)
-
-
 # --- explicit-state oracle ---------------------------------------------------------
 
 
 _ORACLE_MAX_VARS = 16
 
 
-def _oracle_solver(inst: Instance) -> Solver:
+def _oracle_solver(inst: Instance, clauses: Iterable[Clause]) -> Solver:
+    """A fresh solver over the system's own variables with its definitional
+    clauses and `clauses` asserted plainly."""
     sys_ = inst.system
     solver = Solver()
-    _load_system(solver, sys_, shift=False)
-    for c in sys_.defs:
-        solver.add_clause(c.lits)
-    for c in effective_trans(inst):
+    solver.fresh_vars(sys_.nvars)
+    for c in (*sys_.defs, *clauses):
         solver.add_clause(c.lits)
     return solver
 
 
 def enumerate_init_states(inst: Instance) -> list[State]:
     sys_ = inst.system
-    solver = Solver()
-    _load_system(solver, sys_, shift=False)
-    for c in sys_.defs:
-        solver.add_clause(c.lits)
-    for c in effective_init(inst):
-        solver.add_clause(c.lits)
+    solver = _oracle_solver(inst, effective_init(inst))
     out = []
     while True:
         r = solver.solve([])
@@ -338,26 +265,35 @@ def successors(solver: Solver, inst: Instance, state: State) -> list[State]:
     return sorted(out, key=lambda s: s.bits)
 
 
-def explicit_reachable(inst: Instance) -> frozenset[State]:
-    """BFS over the encoded semantics; model enumeration with blocking
-    clauses. Only for small vocabularies."""
+def _bfs(inst: Instance) -> Iterator[tuple[State, State | None]]:
+    """Breadth-first search over the encoded semantics by model enumeration
+    with blocking clauses: yields each reachable state once, with the state
+    it was first reached from (None for an initial state), initial states
+    first in bit order. Only for small vocabularies."""
     sys_ = inst.system
     if len(sys_.state_vars) > _ORACLE_MAX_VARS:
         raise ValueError(
             f"explicit oracle capped at {_ORACLE_MAX_VARS} state variables"
         )
-    solver = _oracle_solver(inst)
-    seen: set[State] = set(enumerate_init_states(inst))
-    frontier = sorted(seen, key=lambda s: s.bits)
+    frontier = enumerate_init_states(inst)
+    seen = set(frontier)
+    for s in frontier:
+        yield s, None
+    solver = _oracle_solver(inst, effective_trans(inst))
     while frontier:
         nxt = []
         for s in frontier:
             for t in successors(solver, inst, s):
                 if t not in seen:
                     seen.add(t)
+                    yield t, s
                     nxt.append(t)
-        frontier = sorted(nxt, key=lambda s: s.bits)
-    return frozenset(seen)
+        frontier = nxt
+
+
+def explicit_reachable(inst: Instance) -> frozenset[State]:
+    """Every reachable state, by the oracle's BFS."""
+    return frozenset(s for s, _ in _bfs(inst))
 
 
 def state_satisfies(sys_: TransitionSystem, state: State, clauses: Iterable[Clause]) -> bool:
@@ -372,39 +308,14 @@ def holds_invariant_explicit(inst: Instance) -> tuple[bool, list[State] | None]:
     """BFS safety check; on violation returns a shortest trace (length 0 is
     a bad initial state)."""
     sys_ = inst.system
-    if len(sys_.state_vars) > _ORACLE_MAX_VARS:
-        raise ValueError(
-            f"explicit oracle capped at {_ORACLE_MAX_VARS} state variables"
-        )
-    inits = enumerate_init_states(inst)
-    parents: dict[State, State | None] = {s: None for s in inits}
-    solver = _oracle_solver(inst)
-
-    def bad(s: State) -> bool:
-        return not state_satisfies(sys_, s, sys_.prop)
-
-    def path_to(s: State) -> list[State]:
-        path = [s]
-        while parents[path[-1]] is not None:
-            path.append(parents[path[-1]])
-        path.reverse()
-        return path
-
-    for s in inits:
-        if bad(s):
-            return False, [s]
-    frontier = list(inits)
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for t in successors(solver, inst, s):
-                if t in parents:
-                    continue
-                parents[t] = s
-                if bad(t):
-                    return False, path_to(t)
-                nxt.append(t)
-        frontier = nxt
+    parents: dict[State, State | None] = {}
+    for s, parent in _bfs(inst):
+        parents[s] = parent
+        if not state_satisfies(sys_, s, sys_.prop):
+            path = [s]
+            while parents[path[-1]] is not None:
+                path.append(parents[path[-1]])
+            return False, path[::-1]
     return True, None
 
 
@@ -508,17 +419,16 @@ def build_explicit_family(
         defs=defs,
         guards=guards,
     )
-    members = []
-    for j in range(len(groups) + 1):
-        assumptions = tuple(g if i < j else -g for i, g in enumerate(guards))
-        members.append(
-            Instance(system=system, label=str(j), assumptions=assumptions, param=j)
+    members = tuple(
+        Instance(
+            system=system,
+            label=str(j),
+            assumptions=tuple(g if i < j else -g for i, g in enumerate(guards)),
+            param=j,
         )
-    if direction == "constraining":
-        members.reverse()
-    return InstanceFamily(
-        system=system, instances=tuple(members), direction=direction
+        for j in range(len(groups) + 1)
     )
+    return InstanceFamily(system, members, "relaxing").oriented(direction)
 
 
 def parse_explicit_family(text: str) -> InstanceFamily:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -202,6 +203,37 @@ def test_pebble_range_below_optimum(capsys, chain3):
 def test_pebble_bad_range(capsys, chain3):
     code, _ = run(capsys, "pebble", chain3, "--pebbles", "2..x")
     assert code == 2
+
+
+def test_a_huge_span_is_refused_before_it_is_listed(capsys, tmp_path, chain3):
+    # listing a span of two million numbers takes hundreds of MB; its ends
+    # are checked first
+    span = [1, 2_000_000]
+    pebbles = tmp_path / "pebbles.json"
+    pebbles.write_text(json.dumps({
+        "problem": {"kind": "pebbling", "source": chain3, "pebbles": span},
+        "trace": {"states": ["000"]},
+    }))
+    switches = tmp_path / "switches.json"
+    switches.write_text(json.dumps({
+        "problem": {"kind": "peterson", "procs": 2, "switches": span},
+        "trace": {"states": ["0"]},
+    }))
+    for argv in (
+        ["pebble", chain3, "--pebbles", "1..2000000"],
+        ["peterson", "--procs", "2", "--switches", "1..2000000"],
+        ["validate", str(pebbles)],
+        ["validate", str(switches)],
+    ):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2, argv
+        assert peak < 4_000_000, (argv, peak)
+    assert "must lie in [1, 3]" in capsys.readouterr().err
 
 
 def test_pebble_frontier_cap_is_unknown(capsys, chain3):

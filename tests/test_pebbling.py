@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ipdr.certify import check_refines
 from ipdr.engine import EngineError, Invariant, PdrConfig, Trace, UsageError
 from ipdr.incremental import ipdr_binary, ipdr_constrain, ipdr_relax, naive_driver
 from ipdr.pebbling import (
@@ -19,7 +20,6 @@ from ipdr.pebbling import (
 from ipdr.solver import Solver
 from ipdr.system import (
     State,
-    check_refines,
     effective_trans,
     enumerate_init_states,
     explicit_reachable,
@@ -175,6 +175,11 @@ def test_budget_instances_form_a_refinement_chain():
     assert check_refines(p1, p2)
     assert check_refines(p2, p3)
     assert not check_refines(p2, p1)
+    # every shipped dag over every budget, listed relaxing
+    for name in ("diamond.dag", "chain3.dag", "toy3.tfc"):
+        dag = load_dag(str(Path(__file__).parent.parent / "benchmarks" / name))
+        insts = encode_pebbling(dag, list(range(1, len(dag.nodes) + 1))).instances
+        assert all(check_refines(a, b) for a, b in zip(insts, insts[1:]))
 
 
 def test_refinement_matches_step_set_inclusion_on_diamond():

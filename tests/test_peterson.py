@@ -2,10 +2,11 @@
 
 import pytest
 
+from ipdr.certify import check_refines
 from ipdr.engine import Invariant, PdrConfig, Trace, UsageError
 from ipdr.incremental import ipdr_constrain, ipdr_relax, naive_driver, trace_valid_in
 from ipdr.peterson import encode_peterson
-from ipdr.system import check_refines, holds_invariant_explicit, state_satisfies
+from ipdr.system import holds_invariant_explicit, state_satisfies
 
 from oracles import peterson_reachable, peterson_safe
 
@@ -45,6 +46,9 @@ def test_bound_instances_form_a_refinement_chain():
     assert check_refines(l0, l1)
     assert check_refines(l1, l2)
     assert not check_refines(l1, l0)
+    # listed constraining, each bound refines the one before it
+    insts = encode_peterson(2, [0, 1, 2, 3], "constraining").instances
+    assert all(check_refines(b, a) for a, b in zip(insts, insts[1:]))
 
 
 def test_zero_bound_runs_one_process_forever():

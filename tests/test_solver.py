@@ -361,16 +361,41 @@ def test_simplify_changes_no_answer_and_no_counter(script):
 
 class ReferenceSolver(Solver):
     """The solver with a plain `_propagate`, `_cancel_until`, `_solve`,
-    `_var_bump` and `_rebuild_heap`: a `while` loop over each watch list,
-    one `_unchecked_enqueue` call per assigned literal, `var_of` on each
-    literal, a fresh (-activity, v) tuple for each heap entry, and a
+    `_var_bump`, `_rebuild_heap` and `_reduce_db`: a `while` loop over each
+    watch list, one `_unchecked_enqueue` call per assigned literal, `var_of`
+    on each literal, a fresh (-activity, v) tuple for each heap entry, a
     decision step that pops the heap until a live entry comes up or the heap
-    is empty, so a SAT answer drains the heap. Its `_solve` keeps
+    is empty, so a SAT answer drains the heap, and a reduction that scans
+    both watch lists of each dropped clause for it. Its `_solve` keeps
     propagation, assumption pushes and decisions apart, as MiniSat does,
     where `Solver._propagate` pushes and decides itself. It ignores
     deadlines. The fast versions in `Solver` must make exactly the same
     search: the same trail, decisions, watch-list order, literal positions
     and heap."""
+
+    def _unwatch(self, clause):
+        for lit in (clause[0], clause[1]):
+            wl = self.watches[self._lit_idx(lit)]
+            for i, c in enumerate(wl):
+                if c is clause:
+                    wl.pop(i)
+                    break
+
+    def _reduce_db(self):
+        locked = set()
+        for v in range(1, self.nvars + 1):
+            r = self.reason[v]
+            if r is not None:
+                locked.add(id(r))
+        meta = self._learnt_meta
+        candidates = [c for c in self.learnts if len(c) > 2 and id(c) not in locked]
+        candidates.sort(key=lambda c: (meta[id(c)][0], -meta[id(c)][1]))
+        drop = set()
+        for c in candidates[: len(candidates) // 2]:
+            drop.add(id(c))
+            self._unwatch(c)
+            del meta[id(c)]
+        self.learnts = [c for c in self.learnts if id(c) not in drop]
 
     def _propagate(self):
         assigns = self.assigns

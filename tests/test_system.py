@@ -7,10 +7,12 @@ independent pure-Python BFS that never touches the SAT encoding.
 """
 
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ipdr.certify import check_refines
 from ipdr.cnf import Clause, Cube
 from ipdr.solver import Solver, VarPool
 from ipdr.system import (
@@ -19,7 +21,7 @@ from ipdr.system import (
     State,
     TransitionSystem,
     build_explicit,
-    check_refines,
+    build_explicit_family,
     effective_trans,
     enumerate_init_states,
     explicit_reachable,
@@ -31,6 +33,7 @@ from ipdr.system import (
 from oracles import bfs_reachable, bfs_shortest_path
 
 
+BENCHMARKS = Path(__file__).parent.parent / "benchmarks"
 CONSTRAINED_EDGES = [("00", "01"), ("01", "10")]
 RELAXED_EDGES = CONSTRAINED_EDGES + [("00", "11"), ("01", "00")]
 
@@ -41,6 +44,18 @@ def constrained_two_bit() -> Instance:
 
 def relaxed_two_bit() -> Instance:
     return build_explicit(["x1", "x2"], ["00"], RELAXED_EDGES, ["11"])
+
+
+def edge_groups(edges, *extras):
+    """`edges` and each list of extra edges as one guard group, without
+    repeats: every edge stays in the first list it appears in."""
+    seen = dict.fromkeys(edges)
+    groups = []
+    for extra in extras:
+        group = [e for e in dict.fromkeys(extra) if e not in seen]
+        seen.update(dict.fromkeys(group))
+        groups.append(group)
+    return list(dict.fromkeys(edges)), groups
 
 
 def edge_successors(edges):
@@ -75,11 +90,26 @@ def test_relaxed_violates_in_one_step():
 
 
 def test_refinement_on_two_bit_pair():
-    small, large = constrained_two_bit(), relaxed_two_bit()
+    # the relaxed edges sit in one guard group over the constrained ones
+    base, groups = edge_groups(CONSTRAINED_EDGES, RELAXED_EDGES)
+    fam = build_explicit_family(["x1", "x2"], ["00"], base, groups, ["11"], "relaxing")
+    small, large = fam.instances
     assert check_refines(small, large)
     assert not check_refines(large, small)
     assert check_refines(small, small)
     assert check_refines(large, large)
+    # each shipped family is a refinement chain in its listed direction
+    for name in ("twobit_constrained.sys", "twobit_relaxed.sys"):
+        fam = parse_explicit_family((BENCHMARKS / name).read_text())
+        insts = fam.oriented("relaxing").instances
+        assert len(insts) == 3
+        assert all(check_refines(a, b) for a, b in zip(insts, insts[1:]))
+        assert not any(check_refines(b, a) for a, b in zip(insts, insts[1:]))
+
+
+def test_refinement_needs_one_system():
+    with pytest.raises(ValueError, match="one system"):
+        check_refines(constrained_two_bit(), relaxed_two_bit())
 
 
 # --- construction details ---------------------------------------------------
@@ -318,15 +348,14 @@ def test_adding_edges_is_refined_by(params, data):
             max_size=4,
         )
     )
+    base, groups = edge_groups(edges, extra)
     names = [f"v{i}" for i in range(n)]
-    small = build_explicit(names, inits, edges, bads)
-    large = build_explicit(names, inits, edges + extra, bads)
+    fam = build_explicit_family(names, inits, base, groups, bads, "relaxing")
+    small, large = fam.instances
     assert check_refines(small, large)
-    # strictness: the reverse direction holds only if no genuinely new edge
-    if set(extra) - set(edges):
-        pass  # reverse may or may not hold (duplicate states), not asserted
-    else:
-        assert check_refines(large, small)
+    # every edge of the group is new, so the reverse holds exactly when the
+    # group is empty
+    assert check_refines(large, small) == (not groups[0])
 
 
 @settings(max_examples=25, deadline=None)
@@ -341,10 +370,10 @@ def test_refinement_transitive_on_chains(params, data):
     )
     mid_extra = data.draw(pair_lists)
     top_extra = data.draw(pair_lists)
+    base, groups = edge_groups(edges, mid_extra, top_extra)
     names = [f"v{i}" for i in range(n)]
-    bottom = build_explicit(names, inits, edges, bads)
-    middle = build_explicit(names, inits, edges + mid_extra, bads)
-    top = build_explicit(names, inits, edges + mid_extra + top_extra, bads)
+    fam = build_explicit_family(names, inits, base, groups, bads, "relaxing")
+    bottom, middle, top = fam.instances
     assert check_refines(bottom, middle)
     assert check_refines(middle, top)
     assert check_refines(bottom, top)
