@@ -12,7 +12,7 @@ report is the side-by-side, not a gate."""
 import argparse
 import time
 
-from ipdr.engine import BudgetExceeded, Invariant, PdrConfig, Trace, pdr_init, pdr_main
+from ipdr.engine import BudgetExceeded, Invariant, PdrConfig, pdr_init, pdr_main
 from ipdr.pebbling import decode_pebbling_trace, encode_pebbling, load_dag
 from ipdr.solver import SolverTimeout
 

@@ -7,9 +7,9 @@ The engine's frame solver builds on it; `check_trace`, the frame checker
 (`load_frames`) and `check_refines` each run on a fresh one, so an engine
 bug cannot certify its own output. `check_invariant` and the engine's debug
 sweep (`engine.validate_ctx`) both use the frame checker, so a checked run
-searches exactly as an unchecked one. The one exception is on purpose: the
-explicit-state oracle in `system` loads systems its own way, as an
-independent reference."""
+searches exactly as an unchecked one. Nothing else in the library loads a
+system; the explicit-state oracle the tests compare against
+(`tests/oracles.py`) loads its own way, as an independent reference."""
 
 from __future__ import annotations
 

@@ -331,6 +331,8 @@ def cmd_bench(args) -> int:
     if not inputs:
         raise UsageError(f"no .dag/.tfc/.sys inputs in {suite}")
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    if not strategies:
+        raise UsageError("no strategies to run")
     for s in strategies:
         if s not in STRATEGIES:
             raise UsageError(f"unknown strategy {s!r}")

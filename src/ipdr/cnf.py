@@ -63,9 +63,6 @@ class Clause:
     def negate(self) -> "Cube":
         return Cube(-l for l in self.lits)
 
-    def variables(self) -> tuple[int, ...]:
-        return tuple(var_of(l) for l in self.lits)
-
 
 class Cube:
     """Conjunction of literals; no two literals share a variable."""
@@ -95,9 +92,6 @@ class Cube:
 
     def negate(self) -> Clause:
         return Clause(-l for l in self.lits)
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(var_of(l) for l in self.lits)
 
     def as_assignment(self) -> dict[int, bool]:
         return {var_of(l): is_positive(l) for l in self.lits}
@@ -146,42 +140,4 @@ class FOr:
         object.__setattr__(self, "children", tuple(children))
 
 
-@dataclass(frozen=True)
-class FIff:
-    left: "Formula"
-    right: "Formula"
-
-
-Formula = FVar | FNot | FAnd | FOr | FIff
-
-
-def formula_vars(f: Formula) -> set[int]:
-    match f:
-        case FVar(lit):
-            return {var_of(lit)}
-        case FNot(child):
-            return formula_vars(child)
-        case FAnd(children) | FOr(children):
-            out: set[int] = set()
-            for c in children:
-                out |= formula_vars(c)
-            return out
-        case FIff(left, right):
-            return formula_vars(left) | formula_vars(right)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def eval_formula(f: Formula, assignment: dict[int, bool]) -> bool:
-    match f:
-        case FVar(lit):
-            v = assignment[var_of(lit)]
-            return v if lit > 0 else not v
-        case FNot(child):
-            return not eval_formula(child, assignment)
-        case FAnd(children):
-            return all(eval_formula(c, assignment) for c in children)
-        case FOr(children):
-            return any(eval_formula(c, assignment) for c in children)
-        case FIff(left, right):
-            return eval_formula(left, assignment) == eval_formula(right, assignment)
-    raise TypeError(f"not a formula: {f!r}")
+Formula = FVar | FNot | FAnd | FOr

@@ -242,14 +242,6 @@ class PebbleSchedule:
     steps: tuple[PebbleStep, ...]
     max_pebbles: int
 
-    def render(self) -> str:
-        lines = []
-        for i, s in enumerate(self.steps, start=1):
-            moves = [f"place {v}" for v in s.placed] + [f"remove {v}" for v in s.removed]
-            lines.append(f"{i}. " + ", ".join(moves))
-        lines.append(f"peak pebbles: {self.max_pebbles}")
-        return "\n".join(lines)
-
 
 def decode_pebbling_trace(trace: Trace, dag: Dag) -> PebbleSchedule:
     """Turn an engine counterexample into a move schedule. Every step diff

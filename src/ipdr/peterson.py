@@ -79,12 +79,13 @@ def check_switch_bounds(n: int, lo: int, hi: int) -> tuple[int, int]:
 def encode_peterson(
     n_processes: int,
     switch_bounds: list[int],
-    direction: str = "relaxing",
+    *,
     remove_wait_condition: bool = False,
 ) -> InstanceFamily:
-    """Family over context-switch bounds. `remove_wait_condition` drops the
-    level-wait spin (a deliberately broken lock) so the harness can confirm
-    that violations are found and reported."""
+    """Family over context-switch bounds, listed relaxing (bounds
+    ascending). `remove_wait_condition` drops the level-wait spin (a
+    deliberately broken lock) so the harness can confirm that violations
+    are found and reported."""
     n = n_processes
     bounds = sorted(set(int(b) for b in switch_bounds))
     if not bounds:
@@ -250,7 +251,7 @@ def encode_peterson(
         )
         for b in bounds
     )
-    return InstanceFamily(system, members, "relaxing").oriented(direction)
+    return InstanceFamily(system, members, "relaxing")
 
 
 def describe_state(system: TransitionSystem, state) -> dict:

@@ -55,7 +55,6 @@ from .cnf import (
     Clause,
     Cube,
     FAnd,
-    FIff,
     FNot,
     FOr,
     Formula,
@@ -829,15 +828,6 @@ def tseitin_clauses(alloc, formula: Formula) -> tuple[int, list[Clause]]:
                 for l in lits:
                     emit([z, -l])
                 emit([-z] + lits)
-                return z
-            case FIff(left, right):
-                a = enc(left)
-                b = enc(right)
-                z = alloc.fresh_var()
-                emit([-z, -a, b])
-                emit([-z, a, -b])
-                emit([z, a, b])
-                emit([z, -a, -b])
                 return z
         raise TypeError(f"not a formula: {f!r}")
 

@@ -1,6 +1,7 @@
 """Symbolic transition systems as clause sets over current/next-state
-variables, instance families sharing one encoding, and explicit-state
-reachability oracles for cross-checking.
+variables, instance families sharing one encoding, the guard reduction
+that gives each instance its own initial and step clauses, and explicit
+systems built from edge lists and their text format.
 
 A system's clauses split three ways: `defs` are definitional (Tseitin and
 counter variables) and total: every assignment of the other variables
@@ -14,11 +15,11 @@ incremental solver context serves a whole family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .cnf import Clause, Cube, FAnd, FOr, FVar, var_of
-from .solver import Solver, VarPool, tseitin_clauses
+from .solver import VarPool, tseitin_clauses
 
 
 class TransitionSystem:
@@ -45,7 +46,6 @@ class TransitionSystem:
         self.prop = tuple(prop)
         self.defs = tuple(defs)
         self.guards = frozenset(guards)
-        self._unprime = dict(zip(self.primed_vars, self.state_vars))
         # every state literal to its primed literal, for the query hot paths
         self.primed: dict[int, int] = {}
         for v, pv in zip(self.state_vars, self.primed_vars):
@@ -62,16 +62,6 @@ class TransitionSystem:
             return self.primed[lit]
         except KeyError:
             raise ValueError(f"variable {var_of(lit)} is not a state variable") from None
-
-    def unprime_lit(self, lit: int) -> int:
-        v = var_of(lit)
-        uv = self._unprime.get(v)
-        if uv is None:
-            raise ValueError(f"variable {v} is not a primed variable")
-        return uv if lit > 0 else -uv
-
-    def unprime_cube(self, cube: Cube) -> Cube:
-        return Cube(self.unprime_lit(l) for l in cube)
 
     def is_state_lit(self, lit: int) -> bool:
         return lit in self.primed
@@ -172,7 +162,7 @@ def _guard_assignment(system: TransitionSystem, inst: Instance) -> dict[int, boo
 def full_assumptions(inst: Instance) -> tuple[int, ...]:
     """Assumption literals for symbolic queries: the instance's own literals
     plus negative defaults for every guard it leaves unmentioned, matching
-    the guard reduction the explicit oracle applies."""
+    the guard reduction of `effective_init` and `effective_trans`."""
     mentioned = {var_of(l) for l in inst.assumptions}
     defaults = tuple(
         -g for g in sorted(inst.system.guards) if g not in mentioned
@@ -216,123 +206,7 @@ def effective_trans(inst: Instance) -> list[Clause]:
     return out
 
 
-# --- explicit-state oracle ---------------------------------------------------------
-
-
-_ORACLE_MAX_VARS = 16
-
-
-def _oracle_solver(inst: Instance, clauses: Iterable[Clause]) -> Solver:
-    """A fresh solver over the system's own variables with its definitional
-    clauses and `clauses` asserted plainly."""
-    sys_ = inst.system
-    solver = Solver()
-    solver.fresh_vars(sys_.nvars)
-    for c in (*sys_.defs, *clauses):
-        solver.add_clause(c.lits)
-    return solver
-
-
-def enumerate_init_states(inst: Instance) -> list[State]:
-    sys_ = inst.system
-    solver = _oracle_solver(inst, effective_init(inst))
-    out = []
-    while True:
-        r = solver.solve([])
-        if not r.sat:
-            break
-        cube = r.cube(sys_.state_vars)
-        out.append(State.from_cube(sys_, cube))
-        solver.add_clause([-l for l in cube])
-    return sorted(out, key=lambda s: s.bits)
-
-
-def successors(solver: Solver, inst: Instance, state: State) -> list[State]:
-    """Enumerate one-step successors by repeated models with per-source
-    blocking clauses behind a one-shot guard (the context stays monotone)."""
-    sys_ = inst.system
-    g = solver.fresh_var()
-    src = sys_.state_cube(state)
-    out = []
-    while True:
-        r = solver.solve(list(src.lits) + [g])
-        if not r.sat:
-            break
-        nxt = r.cube(sys_.primed_vars)
-        out.append(State.from_cube(sys_, sys_.unprime_cube(nxt)))
-        solver.add_clause([-g] + [-l for l in nxt])
-    solver.add_clause([-g])
-    return sorted(out, key=lambda s: s.bits)
-
-
-def _bfs(inst: Instance) -> Iterator[tuple[State, State | None]]:
-    """Breadth-first search over the encoded semantics by model enumeration
-    with blocking clauses: yields each reachable state once, with the state
-    it was first reached from (None for an initial state), initial states
-    first in bit order. Only for small vocabularies."""
-    sys_ = inst.system
-    if len(sys_.state_vars) > _ORACLE_MAX_VARS:
-        raise ValueError(
-            f"explicit oracle capped at {_ORACLE_MAX_VARS} state variables"
-        )
-    frontier = enumerate_init_states(inst)
-    seen = set(frontier)
-    for s in frontier:
-        yield s, None
-    solver = _oracle_solver(inst, effective_trans(inst))
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for t in successors(solver, inst, s):
-                if t not in seen:
-                    seen.add(t)
-                    yield t, s
-                    nxt.append(t)
-        frontier = nxt
-
-
-def explicit_reachable(inst: Instance) -> frozenset[State]:
-    """Every reachable state, by the oracle's BFS."""
-    return frozenset(s for s, _ in _bfs(inst))
-
-
-def state_satisfies(sys_: TransitionSystem, state: State, clauses: Iterable[Clause]) -> bool:
-    asg = dict(zip(sys_.state_vars, state.values))
-    for c in clauses:
-        if not any(asg.get(var_of(l)) == (l > 0) for l in c):
-            return False
-    return True
-
-
-def holds_invariant_explicit(inst: Instance) -> tuple[bool, list[State] | None]:
-    """BFS safety check; on violation returns a shortest trace (length 0 is
-    a bad initial state)."""
-    sys_ = inst.system
-    parents: dict[State, State | None] = {}
-    for s, parent in _bfs(inst):
-        parents[s] = parent
-        if not state_satisfies(sys_, s, sys_.prop):
-            path = [s]
-            while parents[path[-1]] is not None:
-                path.append(parents[path[-1]])
-            return False, path[::-1]
-    return True, None
-
-
 # --- explicit construction and text format -------------------------------------------
-
-
-def build_explicit(
-    var_names: Sequence[str],
-    init_states: Sequence[str],
-    edges: Sequence[tuple[str, str]],
-    bad_states: Sequence[str] = (),
-) -> Instance:
-    """Build a system from an explicit edge list over bit-vector states: the
-    one instance of a family with no guarded groups. Duplicate edges are
-    allowed. The property is the conjunction of the bad states' negations."""
-    fam = build_explicit_family(var_names, init_states, list(dict.fromkeys(edges)), [], bad_states)
-    return replace(fam.instances[0], label="explicit", param=None)
 
 
 def build_explicit_family(
@@ -348,8 +222,7 @@ def build_explicit_family(
     groups, so enabling order is relaxing and disabling order constraining;
     `direction` picks which way the family is listed. Each edge var gets a
     definitional equivalence with its cube, and the guard appears only in a
-    plain (guard or not-edge) clause so the guard reduction the explicit
-    oracle applies stays exact."""
+    plain (guard or not-edge) clause so the guard reduction stays exact."""
     n = len(var_names)
     if n == 0:
         raise ValueError("need at least one state variable")

@@ -1,14 +1,21 @@
-"""Independent brute-force oracles used to freeze expected test values.
+"""Independent oracles used to freeze expected test values.
 
-Everything here enumerates exhaustively and never calls the solver or the
-engine under test.
+The brute-force oracles enumerate exhaustively and never call the solver or
+the engine under test. The explicit-state oracle enumerates an encoded
+system's states and steps by model enumeration on the CDCL solver, which
+`test_solver.py` checks against `cnf_satisfiable`; it never calls the
+engine, and it loads the system plainly, not through `certify.Skeleton`.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 
-from ipdr.cnf import Clause, var_of, is_positive
+from ipdr.cnf import FAnd, FNot, FOr, FVar, var_of, is_positive
+from ipdr.solver import Solver
+from ipdr.system import (Instance, State, TransitionSystem, build_explicit_family,
+                         effective_init, effective_trans)
 
 
 def all_assignments(variables: list[int]):
@@ -33,6 +40,20 @@ def cnf_satisfiable(nvars: int, clauses: list[list[int]], fixed: dict[int, bool]
 
 def count_true(lits, assignment) -> int:
     return sum(1 for l in lits if assignment[var_of(l)] == is_positive(l))
+
+
+def eval_formula(f, assignment) -> bool:
+    """Truth value of a formula AST under a total assignment."""
+    match f:
+        case FVar(lit):
+            return assignment[var_of(lit)] == is_positive(lit)
+        case FNot(child):
+            return not eval_formula(child, assignment)
+        case FAnd(children):
+            return all(eval_formula(c, assignment) for c in children)
+        case FOr(children):
+            return any(eval_formula(c, assignment) for c in children)
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def bfs_reachable(init_states, successors):
@@ -74,6 +95,94 @@ def bfs_shortest_path(init_states, successors, is_goal):
                 nxt.append(t)
         frontier = nxt
     return None
+
+
+# --- explicit-state oracle ---------------------------------------------------------
+
+
+_ORACLE_MAX_VARS = 16
+
+
+def build_explicit(var_names, init_states, edges, bad_states=()) -> Instance:
+    """A system from an explicit edge list over bit-vector states: the one
+    instance of a family with no guarded groups. Duplicate edges are
+    allowed. The property is the conjunction of the bad states' negations."""
+    fam = build_explicit_family(var_names, init_states, list(dict.fromkeys(edges)), [], bad_states)
+    return replace(fam.instances[0], label="explicit", param=None)
+
+
+def oracle_solver(inst: Instance, clauses) -> Solver:
+    """A fresh solver over the system's own variables with its definitional
+    clauses and `clauses` asserted plainly."""
+    sys_ = inst.system
+    solver = Solver()
+    solver.fresh_vars(sys_.nvars)
+    for c in (*sys_.defs, *clauses):
+        solver.add_clause(c.lits)
+    return solver
+
+
+def enumerate_init_states(inst: Instance) -> list[State]:
+    """Every initial state, in bit order, by repeated models with blocking
+    clauses."""
+    sys_ = inst.system
+    solver = oracle_solver(inst, effective_init(inst))
+    out = []
+    while True:
+        r = solver.solve([])
+        if not r.sat:
+            break
+        cube = r.cube(sys_.state_vars)
+        out.append(State.from_cube(sys_, cube))
+        solver.add_clause([-l for l in cube])
+    return sorted(out, key=lambda s: s.bits)
+
+
+def successors(solver: Solver, inst: Instance, state: State) -> list[State]:
+    """One-step successors in bit order, by repeated models with per-source
+    blocking clauses behind a one-shot guard (the context stays monotone)."""
+    sys_ = inst.system
+    g = solver.fresh_var()
+    src = sys_.state_cube(state)
+    out = []
+    while True:
+        r = solver.solve(list(src.lits) + [g])
+        if not r.sat:
+            break
+        nxt = r.cube(sys_.primed_vars)
+        asg = nxt.as_assignment()
+        out.append(State(tuple(asg[v] for v in sys_.primed_vars)))
+        solver.add_clause([-g] + [-l for l in nxt])
+    solver.add_clause([-g])
+    return sorted(out, key=lambda s: s.bits)
+
+
+def _explicit_graph(inst: Instance):
+    """The initial states and the successor function of the encoded
+    semantics, for the generic BFS. Only for small vocabularies."""
+    if len(inst.system.state_vars) > _ORACLE_MAX_VARS:
+        raise ValueError(f"explicit oracle capped at {_ORACLE_MAX_VARS} state variables")
+    solver = oracle_solver(inst, effective_trans(inst))
+    return enumerate_init_states(inst), lambda s: successors(solver, inst, s)
+
+
+def explicit_reachable(inst: Instance) -> frozenset[State]:
+    """Every reachable state of the encoded semantics."""
+    return frozenset(bfs_reachable(*_explicit_graph(inst)))
+
+
+def state_satisfies(sys_: TransitionSystem, state: State, clauses) -> bool:
+    asg = dict(zip(sys_.state_vars, state.values))
+    return all(clause_true(c, asg) for c in clauses)
+
+
+def holds_invariant_explicit(inst: Instance) -> tuple[bool, list[State] | None]:
+    """BFS safety check of the encoded semantics; on violation returns a
+    shortest trace (length 0 is a bad initial state)."""
+    sys_ = inst.system
+    inits, succ = _explicit_graph(inst)
+    path = bfs_shortest_path(inits, succ, lambda s: not state_satisfies(sys_, s, sys_.prop))
+    return path is None, path
 
 
 # --- reversible pebbling game -----------------------------------------------------

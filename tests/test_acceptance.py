@@ -2,12 +2,13 @@
 passes or fails on its own pytest line; the cross-check against the
 published circuit numbers is informative and never gates."""
 
+import importlib.util
 import random
 import time
+from pathlib import Path
 
 from ipdr.certify import check_invariant, load_frames
 from ipdr.engine import (
-    BudgetExceeded,
     Invariant,
     PdrConfig,
     Trace,
@@ -24,15 +25,9 @@ from ipdr.incremental import (
 )
 from ipdr.pebbling import Dag, decode_pebbling_trace, encode_pebbling, load_dag
 from ipdr.peterson import encode_peterson
-from ipdr.solver import SolverTimeout
-from ipdr.system import (
-    InstanceFamily,
-    build_explicit,
-    build_explicit_family,
-    holds_invariant_explicit,
-)
+from ipdr.system import build_explicit_family
 
-from oracles import pebbling_min_budget, peterson_safe
+from oracles import build_explicit, holds_invariant_explicit, pebbling_min_budget, peterson_safe
 
 
 # --- corpus ------------------------------------------------------------------------
@@ -164,7 +159,7 @@ def test_debug_invariant_sweep_has_zero_violations():
         naive_driver(encode_pebbling(dag, budgets), cfg)
         runs += 3
     ipdr_relax(encode_peterson(2, [0, 1, 2]), cfg)
-    ipdr_constrain(encode_peterson(2, [0, 1, 2], direction="constraining"), cfg)
+    ipdr_constrain(encode_peterson(2, [0, 1, 2]).oriented("constraining"), cfg)
     runs += 2
     print(f"\n{runs} driver runs with per-boundary validation, no violations")
 
@@ -297,26 +292,27 @@ def test_peterson_safe_for_two_and_three_processes():
 # --- 6: side-by-side with the published circuit numbers (informative) --------------
 
 
+def load_crosscheck_script():
+    path = Path(__file__).parent.parent / "scripts" / "ham7tc_crosscheck.py"
+    spec = importlib.util.spec_from_file_location("ham7tc_crosscheck", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
 def test_seven_wire_circuit_crosscheck_report():
+    script = load_crosscheck_script()
     dag = load_dag("benchmarks/ham7tc.tfc")
     assert len(dag.nodes) == 23
     found = []
     for p, budget in ((23, 15.0), (14, 30.0), (12, 10.0)):
-        fam = encode_pebbling(dag, [p])
-        try:
-            v = pdr_main(pdr_init(fam.instances[0],
-                                  PdrConfig(seed=0, timeout_s=budget)))
-        except (SolverTimeout, BudgetExceeded):
-            found.append((p, "unknown", None))
-            continue
-        if isinstance(v, Trace):
-            schedule = decode_pebbling_trace(v, dag)
+        kind, schedule, _ = script.probe(dag, p, budget, seed=0)
+        if schedule is not None:
             assert schedule.max_pebbles <= p
-            found.append((p, "strategy", len(schedule.steps)))
-        else:
-            found.append((p, "impossible", None))
-    print("\nreference circuit: strategy at 10, impossible at 9,"
-          " length 25..26")
+        found.append((p, kind, schedule and len(schedule.steps)))
+    lo, hi = script.REF_LENGTH
+    print(f"\nreference circuit: strategy at {script.REF_BOUNDARY},"
+          f" impossible at {script.REF_IMPOSSIBLE}, length {lo}..{hi}")
     for p, kind, length in found:
         extra = f" with {length} flips" if length else ""
         print(f"this circuit:  p={p}: {kind}{extra}")

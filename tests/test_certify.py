@@ -5,7 +5,9 @@ import pytest
 
 from ipdr.certify import check_invariant, check_trace
 from ipdr.cnf import Clause
-from ipdr.system import State, build_explicit
+from ipdr.system import State
+
+from oracles import build_explicit
 
 # 00 -> 01 -> 01 is the reachable part; the unreachable 10 steps to the bad 11
 EDGES = [("00", "01"), ("01", "01"), ("10", "11")]

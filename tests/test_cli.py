@@ -529,6 +529,16 @@ def test_bench_suite_that_is_not_a_directory(capsys, tmp_path, where):
     assert captured.err.startswith("error:")
 
 
+def test_bench_rejects_an_empty_strategy_list(capsys, tmp_path, suite):
+    stats = tmp_path / "stats.csv"
+    code = main(["bench", str(suite), "--strategies", ",", "--stats", str(stats)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert not stats.exists()
+
+
 def test_bench_bad_seed_list(capsys, suite):
     code = main(["bench", str(suite), "--seeds", "abc"])
     captured = capsys.readouterr()

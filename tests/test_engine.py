@@ -32,9 +32,9 @@ from ipdr.incremental import ipdr_binary, ipdr_constrain, ipdr_relax
 from ipdr.pebbling import encode_pebbling, load_dag
 from ipdr.peterson import encode_peterson
 from ipdr.solver import FALSE, UNDEF, SatResult, Solver, SolverTimeout
-from ipdr.system import Instance, TransitionSystem, build_explicit, holds_invariant_explicit
+from ipdr.system import Instance, TransitionSystem
 
-from oracles import bfs_shortest_path
+from oracles import build_explicit, holds_invariant_explicit
 
 
 def run_pdr(names, inits, edges, bads, **cfg):

@@ -36,8 +36,9 @@ from ipdr.system import (
     State,
     TransitionSystem,
     build_explicit_family,
-    holds_invariant_explicit,
 )
+
+from oracles import holds_invariant_explicit
 
 DEBUG = PdrConfig(debug_invariants=True)
 
@@ -602,7 +603,7 @@ def test_debug_invariants_leave_the_search_unchanged(strategy, problem):
     # row, SAT calls included, and every verdict match the unchecked run
     direction = "constraining" if strategy == "constrain" else "relaxing"
     if problem == "lock2":
-        fam = encode_peterson(2, [0, 1, 2], direction=direction)
+        fam = encode_peterson(2, [0, 1, 2]).oriented(direction)
     else:
         diamond = load_dag(str(Path(__file__).parent.parent / "benchmarks" / "diamond.dag"))
         fam = encode_pebbling(diamond, [1, 2, 3, 4], direction)

@@ -17,16 +17,10 @@ from ipdr.pebbling import (
     parse_dag,
     parse_tfc,
 )
-from ipdr.solver import Solver
-from ipdr.system import (
-    State,
-    effective_trans,
-    enumerate_init_states,
-    explicit_reachable,
-    successors,
-)
+from ipdr.system import State, effective_trans
 
-from oracles import pebbling_game_strategy, pebbling_min_budget
+from oracles import (enumerate_init_states, explicit_reachable, oracle_solver,
+                     pebbling_game_strategy, pebbling_min_budget, successors)
 
 DEBUG = PdrConfig(debug_invariants=True)
 
@@ -187,14 +181,10 @@ def test_refinement_matches_step_set_inclusion_on_diamond():
     # check_refines is compared with the explicit step sets of every budget
     dag = load_dag(str(Path(__file__).parent.parent / "benchmarks" / "diamond.dag"))
     fam = encode_pebbling(dag, [1, 2, 3, 4])
-    sys_ = fam.system
     states = [State(bits) for bits in itertools.product((False, True), repeat=4)]
     steps = {}
     for inst in fam.instances:
-        solver = Solver()
-        solver.fresh_vars(sys_.nvars)
-        for c in list(sys_.defs) + effective_trans(inst):
-            solver.add_clause(c.lits)
+        solver = oracle_solver(inst, effective_trans(inst))
         steps[inst.param] = {(s, t) for s in states for t in successors(solver, inst, s)}
     assert steps[1] < steps[2] < steps[3] < steps[4]
     # every budget shares the empty board, so refinement is step inclusion
@@ -316,13 +306,6 @@ def test_decode_drops_stutter_steps():
     path = [frozenset(), frozenset(), frozenset({"a"}), frozenset({"a"})]
     sched = decode_pebbling_trace(trace_from_path(CHAIN2, path), CHAIN2)
     assert [(s.placed, s.removed) for s in sched.steps] == [(("a",), ())]
-
-
-def test_schedule_render_lists_moves_and_peak():
-    path = pebbling_game_strategy(CHAIN2, 2)
-    text = decode_pebbling_trace(trace_from_path(CHAIN2, path), CHAIN2).render()
-    assert "place a" in text and "remove a" in text
-    assert text.endswith("peak pebbles: 2")
 
 
 # --- random dags against the oracle -------------------------------------------------

@@ -6,9 +6,8 @@ from ipdr.certify import check_refines
 from ipdr.engine import Invariant, PdrConfig, Trace, UsageError
 from ipdr.incremental import ipdr_constrain, ipdr_relax, naive_driver, trace_valid_in
 from ipdr.peterson import encode_peterson
-from ipdr.system import holds_invariant_explicit, state_satisfies
 
-from oracles import peterson_reachable, peterson_safe
+from oracles import holds_invariant_explicit, peterson_reachable, peterson_safe, state_satisfies
 
 DEBUG = PdrConfig(debug_invariants=True)
 
@@ -30,13 +29,20 @@ def test_rejects_oversized_encoding():
         encode_peterson(12, [40])
 
 
+def test_lock_flag_is_keyword_only():
+    # a positional flag would be any truthy value, such as a stale direction
+    # argument, and would silently encode the broken lock
+    with pytest.raises(TypeError):
+        encode_peterson(2, [0, 1, 2], "constraining")
+
+
 def test_bound_instances_release_assumptions():
     fam = encode_peterson(2, [0, 1, 2])
     a0, a1, a2 = (set(i.assumptions) for i in fam.instances)
     assert a0 > a1 > a2 == set()
     assert [i.param for i in fam.instances] == [0, 1, 2]
     assert [i.label for i in fam.instances] == ["l0", "l1", "l2"]
-    rev = encode_peterson(2, [0, 1, 2], direction="constraining")
+    rev = encode_peterson(2, [0, 1, 2]).oriented("constraining")
     assert [i.param for i in rev.instances] == [2, 1, 0]
 
 
@@ -47,7 +53,7 @@ def test_bound_instances_form_a_refinement_chain():
     assert check_refines(l1, l2)
     assert not check_refines(l1, l0)
     # listed constraining, each bound refines the one before it
-    insts = encode_peterson(2, [0, 1, 2, 3], "constraining").instances
+    insts = encode_peterson(2, [0, 1, 2, 3]).oriented("constraining").instances
     assert all(check_refines(b, a) for a, b in zip(insts, insts[1:]))
 
 
@@ -84,7 +90,7 @@ def test_three_processes_safe_at_low_bounds():
 
 
 def test_constraining_sweep_stops_at_the_first_invariant():
-    out = ipdr_constrain(encode_peterson(2, [0, 1, 2], direction="constraining"), DEBUG)
+    out = ipdr_constrain(encode_peterson(2, [0, 1, 2]).oriented("constraining"), DEBUG)
     assert isinstance(out.verdict, Invariant)
     assert out.final_parameter == "l2"
     assert len(out.per_instance_stats) == 1

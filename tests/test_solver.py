@@ -2,7 +2,6 @@
 
 import contextlib
 import heapq
-import itertools
 import signal
 import time
 from pathlib import Path
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ipdr.certify
-from ipdr.cnf import Clause, Cube, FAnd, FIff, FNot, FOr, FVar, eval_formula, formula_vars, var_of
+from ipdr.cnf import Cube, FAnd, FNot, FOr, FVar, var_of
 from ipdr.incremental import ipdr_constrain, ipdr_relax
 from ipdr.pebbling import encode_pebbling, load_dag
 from ipdr.peterson import encode_peterson
@@ -29,7 +28,7 @@ from ipdr.solver import (
     tseitin_clauses,
 )
 
-from oracles import cnf_satisfiable, all_assignments, clause_true, count_true
+from oracles import cnf_satisfiable, all_assignments, clause_true, count_true, eval_formula
 
 
 def make_solver(nvars, clauses, seed=0):
@@ -846,7 +845,6 @@ formula_strategy = st.deferred(
         st.builds(FNot, formula_strategy),
         st.lists(formula_strategy, min_size=0, max_size=3).map(lambda cs: FAnd(*cs)),
         st.lists(formula_strategy, min_size=0, max_size=3).map(lambda cs: FOr(*cs)),
-        st.builds(FIff, formula_strategy, formula_strategy),
     )
 )
 

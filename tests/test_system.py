@@ -14,23 +14,19 @@ from hypothesis import given, settings, strategies as st
 
 from ipdr.certify import check_refines
 from ipdr.cnf import Clause, Cube
-from ipdr.solver import Solver, VarPool
+from ipdr.solver import VarPool
 from ipdr.system import (
     Instance,
     InstanceFamily,
     State,
     TransitionSystem,
-    build_explicit,
     build_explicit_family,
     effective_trans,
-    enumerate_init_states,
-    explicit_reachable,
-    holds_invariant_explicit,
     parse_explicit_family,
-    successors,
 )
 
-from oracles import bfs_reachable, bfs_shortest_path
+from oracles import (bfs_reachable, bfs_shortest_path, build_explicit, enumerate_init_states,
+                     explicit_reachable, holds_invariant_explicit, oracle_solver, successors)
 
 
 BENCHMARKS = Path(__file__).parent.parent / "benchmarks"
@@ -144,11 +140,12 @@ def test_bad_initial_state_gives_length_zero_trace():
 def test_prime_unprime_roundtrip():
     sys_ = constrained_two_bit().system
     cube = Cube([sys_.state_vars[0], -sys_.state_vars[1]])
-    assert sys_.unprime_cube(Cube(sys_.prime_lit(l) for l in cube)) == cube
+    primed = Cube(sys_.prime_lit(l) for l in cube)
+    assert primed == Cube([sys_.primed_vars[0], -sys_.primed_vars[1]])
+    unprime = {pl: l for l, pl in sys_.primed.items()}
+    assert Cube(unprime[l] for l in primed) == cube
     with pytest.raises(ValueError):
         sys_.prime_lit(sys_.primed_vars[0])
-    with pytest.raises(ValueError):
-        sys_.unprime_lit(sys_.state_vars[0])
 
 
 def test_state_bits_roundtrip():
@@ -381,14 +378,7 @@ def test_refinement_transitive_on_chains(params, data):
 
 def test_successors_reusable_context():
     inst = relaxed_two_bit()
-    sys_ = inst.system
-    solver = Solver()
-    for v in range(sys_.nvars):
-        solver.fresh_var()
-    for c in sys_.defs:
-        solver.add_clause(c.lits)
-    for c in effective_trans(inst):
-        solver.add_clause(c.lits)
+    solver = oracle_solver(inst, effective_trans(inst))
     s00 = State.from_bits("00")
     s01 = State.from_bits("01")
     # interleaved queries against one context must not cross-contaminate
