@@ -298,7 +298,7 @@ def _process_queue(ctx: PdrCtx) -> Trace | None:
         ob = heapq.heappop(ctx.queue)
         ctx.counters.obligations += 1
         s, lvl = ob.cube, ob.level
-        if _blocked_above(frames, s, lvl + 1):
+        if _subsumed(frames, {-l for l in s.lits}, lvl + 1):
             if lvl + 1 <= frames.k:
                 ctx.push(lvl + 1, s, ob.parent)
             continue
@@ -318,20 +318,6 @@ def _process_queue(ctx: PdrCtx) -> Trace | None:
             ctx.push(lvl - 1, payload, ob)
             heapq.heappush(ctx.queue, ob)  # retry once the predecessor falls
     return None
-
-
-def _blocked_above(frames: Frames, cube: Cube, level: int) -> bool:
-    """Some clause of F_level excludes every state of the (possibly
-    partial) cube: each of its literals appears negated in the cube."""
-    lits = set(cube.lits)
-    for delta in frames.deltas[level:]:
-        for c in delta:
-            for l in c.lits:
-                if -l not in lits:
-                    break
-            else:
-                return True
-    return False
 
 
 # --- blocking and generalization ------------------------------------------------------
@@ -409,6 +395,20 @@ def _ctg_down(ctx: PdrCtx, q: Cube, level: int, depth: int) -> tuple[bool, Cube]
         q = Cube._canonical_tuple(tuple([l for l in q.lits if l in keep]))
 
 
+def _subsumed(frames: Frames, lits: set[int], level: int) -> bool:
+    """Some clause of F_level has all of its literals in `lits`: it subsumes
+    the clause `lits`, or, with `lits` a cube's negation, it excludes every
+    state of the (possibly partial) cube."""
+    for delta in frames.deltas[level:]:
+        for d in delta:
+            for l in d.lits:  # most clauses fail on their first literal
+                if l not in lits:
+                    break
+            else:
+                return True
+    return False
+
+
 def add_blocked(ctx: PdrCtx, clause: Clause, target: int) -> None:
     """Record a blocking clause at min(target, k+1). A clause subsumed by a
     stronger one at or above the level is skipped; clauses it subsumes at or
@@ -417,13 +417,12 @@ def add_blocked(ctx: PdrCtx, clause: Clause, target: int) -> None:
     frames = ctx.frames
     lvl = min(target, frames.k + 1)
     frames.ensure_level(lvl)
-    # subsumption is a literal subset; the new clause's set is built once
+    # subsumption is a literal subset (`_subsumed` above the level, issubset
+    # below); the new clause's set is built once for both
     lits = set(clause.lits)
+    if _subsumed(frames, lits, lvl):
+        return
     n = len(lits)
-    for delta in frames.deltas[lvl:]:
-        for d in delta:
-            if len(d.lits) <= n and lits.issuperset(d.lits):
-                return
     for delta in frames.deltas[1 : lvl + 1]:
         for d in [x for x in delta if n <= len(x.lits) and lits.issubset(x.lits)]:
             del delta[d]

@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass
 
 from .certify import check_trace
-from .cnf import Clause
 from .engine import (
     Invariant,
     InvariantViolation,
@@ -122,29 +121,19 @@ def relax(ctx: PdrCtx, nxt: Instance) -> tuple[int, int]:
     frames.reset()
     if k_old < 2:
         return 0, 0  # no frame below the frontier to copy from
-    attempts = 0
-    survivors: list[Clause] = []
-    cap: dict[Clause, int] = {}
-    for j in range(1, len(old)):
-        for c in old[j]:
-            cap[c] = min(j + 1, k_old)
-            attempts += 1
-            if not fs.sat_init(c.negate()).sat:
-                survivors.append(c)
-    placed: dict[Clause, int] = {}
-    live = survivors
+    # (clause, the highest target it may climb to), in old frame order
+    live = [(c, min(j + 1, k_old)) for j in range(1, len(old)) for c in old[j]
+            if not fs.sat_init(c.negate()).sat]
     for t in range(2, k_old + 1):
-        batch, live = [c for c in live if cap[c] >= t], []
-        for c in batch:
-            if not fs.step_holds(t - 1, c, with_prop=False):
-                continue
-            prev = placed.get(c)
-            if prev is not None:
-                del frames.deltas[prev][c]
-            frames.add(c, t)
-            placed[c] = t
-            live.append(c)
-    return attempts, len(placed)
+        batch, live = [p for p in live if p[1] >= t], []
+        for c, cap in batch:
+            if fs.step_holds(t - 1, c, with_prop=False):
+                if t > 2:
+                    del frames.deltas[t - 1][c]  # it passed target t-1 and sits there
+                frames.add(c, t)
+                live.append((c, cap))
+    # the reset left the frames empty, so they hold exactly the copies
+    return sum(map(len, old[1:])), sum(map(len, frames.deltas))
 
 
 def trace_valid_in(trace: Trace, inst: Instance) -> bool:

@@ -4,6 +4,11 @@ Counter columns are exact and deterministic for a fixed seed; the *_s
 columns are wall-clock readings from the monotonic timer (microsecond
 resolution, rounded to 6 decimals at construction so emitted and parsed
 values compare equal) and are excluded from determinism comparisons.
+
+`COLUMNS` is the one schema: the CSV header, the metric columns the
+benchmark harness aggregates, the record form, the parser and the float
+format all derive from it. A new column is one row there plus its
+`RunStats` field.
 """
 
 from __future__ import annotations
@@ -11,37 +16,33 @@ from __future__ import annotations
 import csv
 import io
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-CSV_COLUMNS = (
-    "strategy",
-    "problem",
-    "instance",
-    "verdict",
-    "cti_count",
-    "obligations",
-    "sat_calls",
-    "sat_time_s",
-    "copy_attempts",
-    "copied",
-    "copy_rate",
-    "incr_prep_s",
-    "total_s",
-    "seed",
+# (CSV column, RunStats attribute, type), in CSV order; float columns are
+# rounded at construction and written with 6 decimals
+COLUMNS = (
+    ("strategy", "strategy", str),
+    ("problem", "problem", str),
+    ("instance", "instance_label", str),
+    ("verdict", "verdict_kind", str),
+    ("cti_count", "cti_count", int),
+    ("obligations", "obligations_handled", int),
+    ("sat_calls", "sat_calls", int),
+    ("sat_time_s", "sat_time", float),
+    ("copy_attempts", "copy_attempts", int),
+    ("copied", "copied_clauses", int),
+    ("copy_rate", "copy_rate", float),
+    ("incr_prep_s", "incr_prep_time", float),
+    ("total_s", "total_time", float),
+    ("seed", "seed", int),
 )
 
-# columns aggregated by the benchmark harness
-METRIC_COLUMNS = (
-    "cti_count",
-    "obligations",
-    "sat_calls",
-    "sat_time_s",
-    "copy_attempts",
-    "copied",
-    "copy_rate",
-    "incr_prep_s",
-    "total_s",
-)
+CSV_COLUMNS = tuple(col for col, _, _ in COLUMNS)
+
+# columns aggregated by the benchmark harness: every number but the seed,
+# which names a run rather than measuring it
+METRIC_COLUMNS = tuple(col for col, attr, kind in COLUMNS if kind is not str and attr != "seed")
+
 
 @dataclass
 class RunStats:
@@ -62,9 +63,8 @@ class RunStats:
     seed: int = 0
 
     def __post_init__(self):
-        self.sat_time = round(self.sat_time, 6)
-        self.incr_prep_time = round(self.incr_prep_time, 6)
-        self.total_time = round(self.total_time, 6)
+        for attr in _ROUNDED:
+            setattr(self, attr, round(float(getattr(self, attr)), 6))
 
     @property
     def copy_rate(self) -> float:
@@ -72,52 +72,30 @@ class RunStats:
 
     def as_record(self) -> dict:
         """Field values keyed by CSV column name, floats already rounded."""
-        return {
-            "strategy": self.strategy,
-            "problem": self.problem,
-            "instance": self.instance_label,
-            "verdict": self.verdict_kind,
-            "cti_count": self.cti_count,
-            "obligations": self.obligations_handled,
-            "sat_calls": self.sat_calls,
-            "sat_time_s": self.sat_time,
-            "copy_attempts": self.copy_attempts,
-            "copied": self.copied_clauses,
-            "copy_rate": self.copy_rate,
-            "incr_prep_s": self.incr_prep_time,
-            "total_s": self.total_time,
-            "seed": self.seed,
-        }
+        return {col: getattr(self, attr) for col, attr, _ in COLUMNS}
+
+
+_FIELDS = {f.name for f in fields(RunStats)}  # every column but the derived copy_rate
+_ROUNDED = tuple(attr for _, attr, kind in COLUMNS if kind is float and attr in _FIELDS)
 
 
 def _from_record(rec: dict) -> RunStats:
-    return RunStats(
-        instance_label=rec["instance"],
-        verdict_kind=rec["verdict"],
-        cti_count=int(rec["cti_count"]),
-        obligations_handled=int(rec["obligations"]),
-        sat_calls=int(rec["sat_calls"]),
-        sat_time=float(rec["sat_time_s"]),
-        copy_attempts=int(rec["copy_attempts"]),
-        copied_clauses=int(rec["copied"]),
-        incr_prep_time=float(rec["incr_prep_s"]),
-        total_time=float(rec["total_s"]),
-        strategy=rec["strategy"],
-        problem=rec["problem"],
-        seed=int(rec["seed"]),
-    )
+    return RunStats(**{attr: kind(rec[col]) for col, attr, kind in COLUMNS if attr in _FIELDS})
+
+
+def csv_text(header, rows) -> str:
+    """One CSV document: floats with 6 decimals, None as an empty field,
+    and any field holding a comma or quote quoted."""
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([f"{v:.6f}" if isinstance(v, float) else v for v in row])
+    return out.getvalue()
 
 
 def emit_csv(rows: list[RunStats]) -> str:
-    out = io.StringIO()
-    w = csv.DictWriter(out, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    w.writeheader()
-    for r in rows:
-        rec = r.as_record()
-        for col in ("sat_time_s", "copy_rate", "incr_prep_s", "total_s"):
-            rec[col] = f"{rec[col]:.6f}"
-        w.writerow(rec)
-    return out.getvalue()
+    return csv_text(CSV_COLUMNS, (r.as_record().values() for r in rows))
 
 
 def parse_csv(text: str) -> list[RunStats]:
@@ -159,12 +137,4 @@ def emit_aggregate_csv(records: list[dict]) -> str:
     cols = ["problem", "strategy", "instance", "runs"]
     for col in METRIC_COLUMNS:
         cols.extend((f"{col}_mean", f"{col}_std"))
-    out = io.StringIO()
-    w = csv.DictWriter(out, fieldnames=cols, lineterminator="\n")
-    w.writeheader()
-    for rec in records:
-        row = dict(rec)
-        for c in cols[4:]:
-            row[c] = f"{row[c]:.6f}"
-        w.writerow(row)
-    return out.getvalue()
+    return csv_text(cols, ([rec[c] for c in cols] for rec in records))

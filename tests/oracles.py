@@ -5,6 +5,8 @@ the engine under test. The explicit-state oracle enumerates an encoded
 system's states and steps by model enumeration on the CDCL solver, which
 `test_solver.py` checks against `cnf_satisfiable`; it never calls the
 engine, and it loads the system plainly, not through `certify.Skeleton`.
+`NoSimplify` is the reference solver that level-0 simplification must
+match answer for answer.
 """
 
 from __future__ import annotations
@@ -16,6 +18,13 @@ from ipdr.cnf import FAnd, FNot, FOr, FVar, var_of, is_positive
 from ipdr.solver import Solver
 from ipdr.system import (Instance, State, TransitionSystem, build_explicit_family,
                          effective_init, effective_trans)
+
+
+class NoSimplify(Solver):
+    """The same solver without level-0 clause removal, as a reference."""
+
+    def simplify(self) -> None:
+        pass
 
 
 def all_assignments(variables: list[int]):

@@ -1,10 +1,12 @@
 """Exit codes, JSON shapes, and validator behavior of the command line."""
 
 import contextlib
+import csv
 import io
 import json
 import tracemalloc
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from ipdr.cli import main
 from ipdr.engine import PdrConfig
 from ipdr.incremental import ipdr_relax, naive_driver
 from ipdr.pebbling import encode_pebbling, load_dag
-from ipdr.stats import CSV_COLUMNS, parse_csv
+from ipdr.stats import CSV_COLUMNS, RunStats, emit_csv, parse_csv
 from ipdr.system import parse_explicit_family
 
 from oracles import pebbling_successors
@@ -545,6 +547,39 @@ def test_bench_bad_seed_list(capsys, suite):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_plot_refuses_a_problem_name_with_a_path_separator(capsys, tmp_path):
+    stats = tmp_path / "runs.csv"
+    row = RunStats("p1", "invariant", strategy="naive", problem="../escaped")
+    stats.write_text(emit_csv([row]))
+    code = main(["plot", str(stats), "--out", str(tmp_path / "plots")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert [p.name for p in tmp_path.rglob("*")] == ["runs.csv"]  # nothing written
+
+
+def test_plot_output_parses_when_names_hold_special_characters(capsys, tmp_path):
+    stats = tmp_path / "runs.csv"
+    stats.write_text(emit_csv([
+        RunStats(inst, "invariant", sat_calls=calls + i, strategy=strategy, problem="a&b")
+        for i, inst in enumerate(("p<2>", "p3"))
+        for strategy, calls in (("a,b", 3), ("naive", 5))
+    ]))
+    out = tmp_path / "plots"
+    code, _ = run(capsys, "plot", str(stats), "--metric", "sat_calls", "--out", str(out))
+    assert code == 0
+    svg = minidom.parse(str(out / "a&b_sat_calls.svg"))
+    texts = {t.firstChild.data for t in svg.getElementsByTagName("text")}
+    assert {"a&b: sat_calls by instance", "p<2>", "a,b"} <= texts
+    with open(out / "a&b_sat_calls.csv", newline="") as f:
+        assert list(csv.reader(f)) == [
+            ["instance", "a,b", "naive"],
+            ["p<2>", "3.000000", "5.000000"],
+            ["p3", "4.000000", "6.000000"],
+        ]
 
 
 def test_plot_rejects_an_unknown_metric(capsys, tmp_path, suite):

@@ -6,6 +6,7 @@ property implication), and every trace is replayed against the raw edge
 list. Neither check shares code with the engine.
 """
 
+import importlib.util
 import itertools
 from functools import lru_cache
 from pathlib import Path
@@ -31,7 +32,7 @@ from ipdr.engine import (
 from ipdr.incremental import ipdr_binary, ipdr_constrain, ipdr_relax
 from ipdr.pebbling import encode_pebbling, load_dag
 from ipdr.peterson import encode_peterson
-from ipdr.solver import FALSE, UNDEF, SatResult, Solver, SolverTimeout
+from ipdr.solver import FALSE, UNDEF, Solver, SolverTimeout
 from ipdr.system import Instance, TransitionSystem
 
 from oracles import build_explicit, holds_invariant_explicit
@@ -395,45 +396,25 @@ def test_unconstrained_state_variables_take_their_initial_values():
 
 # --- retired activation literals ------------------------------------------------------
 
-QUERY_KINDS = (
-    "rel_ind",
-    "step_holds",
-    "sat_init",
-    "bad_cube_at",
-    "sat_step",
-    "sat_init_bad",
-    "sat_cube_bad",
-)
+@lru_cache(maxsize=None)
+def _load_query_digest():
+    path = Path(__file__).parent.parent / "scripts" / "query_digest.py"
+    spec = importlib.util.spec_from_file_location("query_digest", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
-def _answer(fs, result):
-    if isinstance(result, SatResult):
-        if result.sat:
-            return True, result.cube(fs.system.state_vars).lits
-        return False, tuple(sorted(result.core))
-    if isinstance(result, tuple):  # rel_ind: (blocked, cube)
-        return result[0], result[1].lits
-    if isinstance(result, Cube):
-        return result.lits
-    return result
-
-
-def _query_log(monkeypatch, run):
-    """Every frame-solver query of `run()` with its arguments and answer."""
-    log = []
-    for kind in QUERY_KINDS:
-        original = getattr(SingleContextSolver, kind)
-
-        def wrapper(fs, *args, _kind=kind, _original=original, **kwargs):
-            result = _original(fs, *args, **kwargs)
-            shown = tuple(a.lits if isinstance(a, (Cube, Clause)) else a for a in args)
-            log.append((_kind, shown, tuple(kwargs.items()), _answer(fs, result)))
-            return result
-
-        monkeypatch.setattr(SingleContextSolver, kind, wrapper)
-    run()
-    monkeypatch.undo()
-    return log
+def _query_digest(run):
+    """The query count and the SHA-1 over every frame-solver query answer
+    of `run()`, as `scripts/query_digest.py` pins a search."""
+    digest = _load_query_digest().Digest()
+    digest.install()
+    try:
+        run()
+    finally:
+        digest.uninstall()
+    return digest.queries, digest.sha.hexdigest()
 
 
 def _bench_dag(stem):
@@ -467,11 +448,11 @@ def test_retiring_dead_activation_literals_changes_no_answer(monkeypatch, name):
         retire(self, lits)
 
     monkeypatch.setattr(Solver, "retire", spy)
-    with_retirement = _query_log(monkeypatch, _sweep(name))
+    with_retirement = _query_digest(_sweep(name))
     assert retired  # every sweep rebinds at least once
     monkeypatch.setattr(Solver, "retire", lambda self, lits: None)
-    without = _query_log(monkeypatch, _sweep(name))
-    assert with_retirement and with_retirement == without
+    without = _query_digest(_sweep(name))
+    assert with_retirement[0] > 0 and with_retirement == without
 
 
 def test_rebinding_retires_the_old_initial_literal():

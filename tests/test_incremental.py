@@ -38,7 +38,7 @@ from ipdr.system import (
     build_explicit_family,
 )
 
-from oracles import holds_invariant_explicit
+from oracles import NoSimplify, holds_invariant_explicit
 
 DEBUG = PdrConfig(debug_invariants=True)
 
@@ -681,13 +681,6 @@ def test_random_binary_matches_linear_scan(fam):
             assert res.impossibility_invariant is None
     else:
         assert res.optimum is None
-
-
-class NoSimplify(Solver):
-    """The same solver without level-0 clause removal, as a reference."""
-
-    def simplify(self) -> None:
-        pass
 
 
 def test_level_0_simplification_leaves_the_sweeps_unchanged(monkeypatch):

@@ -28,7 +28,7 @@ from ipdr.solver import (
     tseitin_clauses,
 )
 
-from oracles import cnf_satisfiable, all_assignments, clause_true, count_true, eval_formula
+from oracles import NoSimplify, cnf_satisfiable, all_assignments, clause_true, count_true, eval_formula
 
 
 def make_solver(nvars, clauses, seed=0):
@@ -210,13 +210,6 @@ def test_monotone_under_more_assumptions():
 
 
 # --- level-0 simplification ----------------------------------------------------
-
-
-class NoSimplify(Solver):
-    """The same solver without level-0 clause removal, as a reference."""
-
-    def simplify(self) -> None:
-        pass
 
 
 def _watch_ids(s):
