@@ -91,7 +91,8 @@ class Frames:
 
 
 class Skeleton:
-    """One incremental solver with a system loaded. Definitional clauses are
+    """One incremental solver with a system loaded. The system's
+    never-decided variables are allocated as such. Definitional clauses are
     asserted plainly; the step relation sits behind a step literal, so
     initial-state queries are not distorted by deadlock states; the
     property behind a property literal; and the initial constraint behind a
@@ -108,8 +109,8 @@ class Skeleton:
         self.system = system
         s = Solver(seed=seed)
         self.solver = s
-        while s.nvars < system.nvars:
-            s.fresh_var()
+        for v in range(1, system.nvars + 1):
+            s.fresh_var(decision=v not in system.never_decided)
         for c in system.defs:
             s.add_clause(c.lits)
         self.step_act = s.fresh_var()
@@ -260,7 +261,9 @@ def check_refines(inst1: Instance, inst2: Instance) -> bool:
     determined by the states, as for explicit systems and the filter lock,
     or when T2 is a subset of T1 whenever refinement holds, as for pebbling
     budgets: the smaller budget assumes a superset of the larger one's
-    totalizer outputs."""
+    totalizer outputs. The negation of T2 holds T2's assumed outputs
+    positively in one clause, so where there are two or more the solver
+    decides them in this skeleton."""
     if inst1.system is not inst2.system:
         raise ValueError("refinement is checked between instances of one system")
     sk = _loaded(inst1)

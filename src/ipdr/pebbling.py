@@ -8,9 +8,13 @@ variables, whose j-th unary output is forced true once j nodes are pebbled
 (the upward half only; see `totalizer_clauses`). It is imposed per
 instance by assuming the outputs above the budget false, so the initial
 condition is shared by every family member and only the step relation
-varies. A counterexample to "the goal configuration is never reached" is a
-pebbling strategy; an invariant is an impossibility certificate for the
-budget.
+varies. Each totalizer clause holds one of the totalizer's variables
+positively, the output it forces, so the system marks them all
+never-decided: a SAT answer stops once the other variables are assigned,
+and leaves the outputs that no clause forced unassigned (all of them may
+be false). A counterexample to "the goal configuration is never reached"
+is a pebbling strategy; an invariant is an impossibility certificate for
+the budget.
 """
 
 from __future__ import annotations
@@ -202,6 +206,7 @@ def encode_pebbling(
             trans.append(Clause([cur[v], -nxt[v], nxt[u]]))
             trans.append(Clause([-cur[v], nxt[v], cur[u]]))
             trans.append(Clause([-cur[v], nxt[v], nxt[u]]))
+    first_aux = pool.n + 1
     budget, defs = totalizer_clauses(pool, [nxt[v] for v in dag.nodes])
     goal_missing = [-cur[v] for v in dag.outputs]
     goal_excess = [cur[v] for v in dag.nodes if v not in dag.outputs]
@@ -215,6 +220,7 @@ def encode_pebbling(
         trans=trans,
         prop=prop,
         defs=defs,
+        never_decided=range(first_aux, pool.n + 1),
     )
     members = tuple(
         Instance(

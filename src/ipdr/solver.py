@@ -10,33 +10,50 @@ clause set, assumptions, and seed.
 Solver internals are MiniSat-shaped: two watched literals, first-UIP clause
 learning with local minimization, EVSIDS variable activity, phase saving,
 Luby restarts (MiniSat's `luby`; a restart also checks the deadline),
-activity-based learnt-clause reduction, and level-0 removal of satisfied
-clauses (`simplifyDB`).
+activity-based learnt-clause reduction, level-0 removal of satisfied
+clauses (`simplifyDB`), and never-decided variables (MiniSat's `decision`
+flag off: `fresh_var(decision=False)`).
+
+A search answers SAT once every decision variable is assigned and
+propagation ends without a conflict, so a never-decided variable that no
+clause forced is left unassigned and `SatResult.value` raises on it. The
+answer is sound because `add_clause` lets a stored clause hold at most one
+positive never-decided literal (the variables of two or more become
+decision variables again). Propagation that ends without a conflict leaves
+every stored clause true or with two unassigned literals, which are both
+never-decided and so not both positive: setting every unassigned variable
+false satisfies every stored clause, hence every added clause (its stored
+form or a level-0 literal satisfies it) and every learnt one (they follow
+from the added ones). This is the one-polarity argument of Plaisted &
+Greenbaum (JSC 1986) that the budget totalizer relies on: each of its
+clauses holds one output positively, the output it forces.
 
 Nearly all of a model-checking run is spent in `_propagate`, so the hot
 paths are written for the interpreter. `_propagate` is the one loop that
 extends the trail during a search: when its queue empties it pushes the
 next assumption or, once every assumption is in, makes the next decision,
 and goes on propagating in the same call. It returns only on a conflict, a
-false assumption or a full assignment, so a query of a few dozen literals
-costs a handful of calls instead of one per assumption and decision;
-`_solve` keeps conflict analysis, backjumping, learning, reduction and
-restarts. `_propagate` assigns literals inline instead of calling
-`_unchecked_enqueue`; it walks each watch list once with `for`,
-compacting it in place, and looks at the single candidate of a ternary
-clause without a loop; `_cancel_until`, `_analyze` and `_analyze_final`
-take a literal's variable inline. Each variable's heap key, the tuple
+false assumption or once every decision variable is assigned, so a query
+of a few dozen literals costs a handful of calls instead of one per
+assumption and decision; `_solve` keeps conflict analysis, backjumping,
+learning, reduction and restarts. `_propagate` assigns literals inline
+instead of calling `_unchecked_enqueue`; it walks each watch list once
+with `for`, compacting it in place, and looks at the single candidate of a
+ternary clause without a loop; `_cancel_until`, `_analyze` and
+`_analyze_final` take a literal's variable inline. Each variable's heap key, the tuple
 (-activity, v), is built once per change of its activity and kept in
-`_key`, so a push builds no tuple. A SAT answer clears the decision heap
-instead of popping it empty: once every variable is assigned, every heap
-entry is stale, so the pops would leave the same empty heap, which
-`_cancel_until(0)` then refills. None of this may move the search, which
-depends on two things the code does not show:
+`_key`, so a push builds no tuple. Only decision variables go on the
+decision heap; the entry `fresh_var` appends for a never-decided one stays
+until a pop skips it. A SAT answer with every variable assigned clears the
+heap instead of popping it empty: every entry is stale, so the pops would
+leave the same empty heap, which `_cancel_until(0)` then refills. None of
+this may move the search, which depends on two things the code does not
+show:
 
 - the order of the `heapq` calls: the decision heap is not kept sifted
   (see `fresh_var`), so the order of pushes and pops picks the decisions.
-  For the same reason `_cancel_until` must push every variable it
-  unassigns, even one whose entry is still live: without the duplicate
+  For the same reason `_cancel_until` must push every decision variable
+  it unassigns, even one whose entry is still live: without the duplicate
   pushes the heap layout changes, and with it the decisions;
 - the position of each literal in a clause: `clause[0]` is the literal a
   reason clause implies (`_analyze` reads it) and the watch search visits
@@ -83,6 +100,8 @@ class SatResult:
         return self.sat
 
     def value(self, lit: int) -> bool:
+        """The literal's value in the model; raises ValueError on a
+        never-decided variable that the answer left unassigned."""
         if not self.sat:
             raise ValueError("no model: result is unsat")
         a = self._assigns[var_of(lit)]
@@ -136,6 +155,7 @@ class Solver:
         self.reason: list[list[int] | None] = [None]
         self.activity: list[float] = [0.0]
         self.phase: list[bool] = [False]
+        self.decision = bytearray(1)  # 1 for a decision variable
         self._seen = bytearray(1)
         # watches indexed by literal: 2*v for v, 2*v+1 for -v
         self.watches: list[list[list[int]]] = [[], []]
@@ -170,7 +190,9 @@ class Solver:
 
     # --- variables and clauses ----------------------------------------------
 
-    def fresh_var(self) -> int:
+    def fresh_var(self, decision: bool = True) -> int:
+        """A new variable; with `decision` false the search never branches
+        on it (see the module docstring)."""
         self.nvars += 1
         v = self.nvars
         self.assigns.append(UNDEF)
@@ -181,6 +203,7 @@ class Solver:
         key = (-jitter, v)
         self._key.append(key)
         self.phase.append(False)
+        self.decision.append(decision)
         self._seen.append(0)
         self.watches.append([])
         self.watches.append([])
@@ -219,7 +242,10 @@ class Solver:
         unsatisfiable outright. Clauses may only be added at decision level
         zero (between solve calls). A clause satisfied at level 0 is not
         stored, and `simplify` later drops stored clauses that become so;
-        neither changes the models of the clause set."""
+        neither changes the models of the clause set. A stored clause keeps
+        at most one positive never-decided literal: the variables of two or
+        more become decision variables, which a SAT answer's soundness needs
+        (see the module docstring)."""
         assert not self.trail_lim, "clauses may only be added between solves"
         if not self.ok:
             return False
@@ -253,6 +279,13 @@ class Solver:
                 return False
             return True
         clause = simplified
+        decision = self.decision
+        free = [lit for lit in clause if lit > 0 and not decision[lit]]
+        if len(free) > 1:
+            # every kept literal is unassigned, so each goes on the heap
+            for v in free:
+                decision[v] = 1
+                heapq.heappush(self._heap, self._key[v])
         self.clauses.append(clause)
         self._watch(clause)
         return True
@@ -300,6 +333,7 @@ class Solver:
         assigns = self.assigns
         phase = self.phase
         reason = self.reason
+        decision = self.decision
         heap = self._heap
         key = self._key
         push = heapq.heappush
@@ -313,7 +347,8 @@ class Solver:
                 phase[v] = False
             assigns[v] = UNDEF
             reason[v] = None
-            push(heap, key[v])
+            if decision[v]:
+                push(heap, key[v])
         del trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = bound
@@ -324,7 +359,9 @@ class Solver:
         # in place: `_solve` holds the list for the whole search
         key = self._key
         assigns = self.assigns
-        self._heap[:] = [key[v] for v in range(1, self.nvars + 1) if assigns[v] == UNDEF]
+        decision = self.decision
+        self._heap[:] = [key[v] for v in range(1, self.nvars + 1)
+                         if assigns[v] == UNDEF and decision[v]]
         heapq.heapify(self._heap)
 
     # --- activity --------------------------------------------------------------
@@ -342,7 +379,7 @@ class Solver:
             self._rebuild_heap()
             return
         key = self._key[v] = (-act, v)
-        if self.assigns[v] == UNDEF:
+        if self.assigns[v] == UNDEF and self.decision[v]:
             heapq.heappush(self._heap, key)
 
     def _var_decay_apply(self) -> None:
@@ -372,7 +409,7 @@ class Solver:
         first with the next assumption (an already-true one opens an empty
         level, a false one is returned for `_analyze_final`), then, once
         every assumption is in, with the next decision. It returns None only
-        when every variable is assigned.
+        when every decision variable is assigned.
 
         The hot loop of the solver, so the enqueue of `_unchecked_enqueue`
         is inlined and every list is a local. Each watch list is walked
@@ -490,14 +527,18 @@ class Solver:
                     self.qhead = qhead
                     self.n_propagations += qhead - qhead0
                     raise SolverTimeout()
-            self.n_decisions = n_decisions
-            # every unassigned variable has an entry with its current key
+            # every unassigned decision variable has an entry with its
+            # current key, so an empty heap means all of them are assigned
             heap = self._heap
             activity = self.activity
-            while True:
+            decision = self.decision
+            while heap:
                 negact, v = heapq.heappop(heap)
-                if assigns[v] == 0 and -negact == activity[v]:
+                if assigns[v] == 0 and -negact == activity[v] and decision[v]:
                     break
+            else:
+                break
+            self.n_decisions = n_decisions
             trail_lim.append(n_trail)
             dl += 1
             if self.phase[v]:

@@ -7,7 +7,14 @@ A system's clauses split three ways: `defs` are definitional (Tseitin and
 counter variables) and total: every assignment of the other variables
 extends to the auxiliary ones, so asserting them removes no state and no
 step. They need not be functionally determined; the pebble-budget
-totalizer is not. `init`/`trans`/`prop` are constraints. Instances of a
+totalizer is not. `never_decided` names auxiliary variables that the
+solver never branches on (`Solver.fresh_var(decision=False)`), so a SAT
+answer may leave them unassigned and no query reads them off a model.
+Any set of auxiliary variables is sound, as the solver keeps at most one
+positive never-decided literal per clause; the set pays when each clause
+holds at most one of them positively already, as the totalizer's do,
+because the search then stops as soon as the other variables are assigned.
+`init`/`trans`/`prop` are constraints. Instances of a
 family never change the clause set; they select behaviour purely through
 assumption literals (selector guards and counter bounds), so one
 incremental solver context serves a whole family.
@@ -34,6 +41,7 @@ class TransitionSystem:
         prop: Iterable[Clause],
         defs: Iterable[Clause] = (),
         guards: Iterable[int] = (),
+        never_decided: Iterable[int] = (),
     ):
         if len(state_vars) != len(primed_vars) or len(var_names) != len(state_vars):
             raise ValueError("state/primed/name lists must align")
@@ -46,14 +54,21 @@ class TransitionSystem:
         self.prop = tuple(prop)
         self.defs = tuple(defs)
         self.guards = frozenset(guards)
+        self.never_decided = frozenset(never_decided)
         # every state literal to its primed literal, for the query hot paths
         self.primed: dict[int, int] = {}
         for v, pv in zip(self.state_vars, self.primed_vars):
             self.primed[v] = pv
             self.primed[-v] = -pv
-        overlap = set(self.state_vars) & set(self.primed_vars)
+        current, primed = set(self.state_vars), set(self.primed_vars)
+        overlap = current & primed
         if overlap:
             raise ValueError(f"variables both current and primed: {overlap}")
+        for v in sorted(self.never_decided):
+            if v in current or v in primed:
+                raise ValueError(f"never-decided variable {v} is a state or primed variable")
+            if not 0 < v <= nvars:
+                raise ValueError(f"never-decided variable {v} is not allocated")
 
     # --- priming -------------------------------------------------------------
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ipdr.certify import check_refines
+from ipdr.certify import Skeleton, check_refines
 from ipdr.engine import EngineError, Invariant, PdrConfig, Trace, UsageError
 from ipdr.incremental import ipdr_binary, ipdr_constrain, ipdr_relax, naive_driver
 from ipdr.pebbling import (
@@ -156,6 +156,15 @@ def test_raising_the_budget_releases_assumptions():
     assert a1 > a2 > a3 == set()
     assert [i.param for i in fam.instances] == [1, 2, 3]
     assert [i.label for i in fam.instances] == ["p1", "p2", "p3"]
+
+
+def test_totalizer_variables_are_never_decided():
+    system = encode_pebbling(DIAMOND, [2, 3]).system
+    # the state and primed variables come first, then the totalizer's
+    assert system.never_decided == set(range(2 * len(DIAMOND.nodes) + 1, system.nvars + 1))
+    solver = Skeleton(system).solver
+    undecided = {v for v in range(1, solver.nvars + 1) if not solver.decision[v]}
+    assert undecided == system.never_decided
 
 
 def test_constraining_direction_lists_budgets_descending():

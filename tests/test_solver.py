@@ -2,6 +2,7 @@
 
 import contextlib
 import heapq
+import random
 import signal
 import time
 from pathlib import Path
@@ -124,6 +125,69 @@ def test_incremental_reuse_after_unsat_assumptions():
     s.add_clause([-y])
     assert s.solve([]).sat
     assert not s.solve([-x]).sat
+
+
+# --- never-decided variables ----------------------------------------------------
+
+
+def _satisfiable(n, clauses):
+    return any(all(clause_true(c, asg) for c in clauses)
+               for asg in all_assignments(list(range(1, n + 1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 3))
+def test_never_decided_variables_keep_every_answer_sound(draw_seed, seed):
+    # uniform draws with most variables never-decided: about one set in 16
+    # gets a wrong answer from a solver without the `add_clause` rule
+    rng = random.Random(draw_seed)
+    n = rng.randint(2, 8)
+
+    def lits(k):
+        return [rng.choice((v, -v)) for v in rng.choices(range(1, n + 1), k=k)]
+
+    clauses = [lits(rng.randint(1, 3)) for _ in range(rng.randint(0, 10))]
+    free = {v for v in range(1, n + 1) if rng.random() < 0.8}
+    s = Solver(seed=seed)
+    for v in range(1, n + 1):
+        s.fresh_var(decision=v not in free)
+    for c in clauses:
+        s.add_clause(c)
+    # several queries on one solver, so learnts and saved phases carry over
+    for assumed in [lits(rng.randint(0, 2)) for _ in range(rng.randint(1, 3))]:
+        r = s.solve(assumed)
+        assert r.sat == _satisfiable(n, clauses + [[a] for a in assumed])
+        if r.sat:
+            # every decision variable is assigned; the rest count as false
+            assert all(r._assigns[v] != UNDEF for v in range(1, n + 1) if v not in free)
+            asg = {v: r._assigns[v] == TRUE for v in range(1, n + 1)}
+            assert all(clause_true(c, asg) for c in clauses + [[a] for a in assumed])
+        else:
+            assert r.core <= set(assumed)
+            assert not _satisfiable(n, clauses + [[a] for a in r.core])
+
+
+def test_two_positive_never_decided_literals_make_decision_variables():
+    s = Solver()
+    x = s.fresh_var(decision=False)
+    y = s.fresh_var(decision=False)
+    for c in ([x, y], [-x, -y], [x, -y], [-x, y]):
+        s.add_clause(c)
+    # with both left undecided, propagation ends at once on an empty heap
+    # and the search would answer SAT
+    assert s.decision[x] and s.decision[y]
+    assert not s.solve().sat
+
+
+def test_model_value_rejects_an_unassigned_never_decided_variable():
+    s = Solver()
+    x = s.fresh_var()
+    y = s.fresh_var(decision=False)
+    s.add_clause([x, -y])
+    r = s.solve([x])
+    assert r.sat and r.value(x) is True
+    with pytest.raises(ValueError, match=f"variable {y} unassigned"):
+        r.value(y)
 
 
 # --- oracle equivalence on random CNFs ----------------------------------------
@@ -272,12 +336,15 @@ def test_simplify_is_a_no_op_without_new_level_0_literals():
 
 @st.composite
 def incremental_scripts(draw):
-    """Random incremental use: plain units and 3-clauses, guarded 3-clauses,
-    guards retired by a unit, and solves under the live guards plus random
-    assumptions. Dense enough that about a third of the scripts learn
-    clauses."""
+    """Random incremental use over n variables, some of them never-decided:
+    plain units and 3-clauses, guarded 3-clauses, guards retired by a unit,
+    and solves under the live guards plus random assumptions. Dense enough
+    that about a third of the scripts learn clauses; in about one in four
+    some clause holds two positive never-decided literals and turns their
+    variables into decision variables."""
     rng = draw(st.randoms(use_true_random=False))
     n = draw(st.integers(5, 9))
+    free = [v for v in range(1, n + 1) if rng.random() < 0.3]
 
     def lits(k):
         return [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), k)]
@@ -298,12 +365,13 @@ def incremental_scripts(draw):
             if assumed and rng.random() < 0.3:
                 assumed.append(assumed[0])  # already true when pushed again
             ops.append(("solve", assumed))
-    return n, ops
+    return n, ops, free
 
 
-def _run_script(cls, n, ops):
+def _run_script(cls, n, ops, free=()):
     s = cls(seed=0)
-    s.fresh_vars(n)
+    for v in range(1, n + 1):
+        s.fresh_var(decision=v not in free)
     guards: list[int] = []
     out = []
     for kind, arg in ops:
@@ -316,7 +384,7 @@ def _run_script(cls, n, ops):
             out.append(s.add_clause([-guards.pop(arg % len(guards))]))
         elif kind == "solve":
             r = s.solve([*guards, *arg])
-            model = [r.value(v) for v in range(1, s.nvars + 1)] if r.sat else None
+            model = list(r._assigns) if r.sat else None  # UNDEF where left free
             out.append((r.sat, model, r.core))
         out.append((s.n_propagations, s.n_conflicts, s.n_decisions))
     return out, s
@@ -341,9 +409,8 @@ class SimplifyChecked(Solver):
 @settings(max_examples=120, deadline=None)
 @given(incremental_scripts())
 def test_simplify_changes_no_answer_and_no_counter(script):
-    n, ops = script
-    with_simplify, s = _run_script(SimplifyChecked, n, ops)
-    without, ref = _run_script(NoSimplify, n, ops)
+    with_simplify, s = _run_script(SimplifyChecked, *script)
+    without, ref = _run_script(NoSimplify, *script)
     assert with_simplify == without
     assert len(s.clauses) <= len(ref.clauses)
 
@@ -355,9 +422,10 @@ class ReferenceSolver(Solver):
     """The solver with a plain `_propagate`, `_cancel_until`, `_solve`,
     `_var_bump`, `_rebuild_heap` and `_reduce_db`: a `while` loop over each
     watch list, one `_unchecked_enqueue` call per assigned literal, `var_of`
-    on each literal, a fresh (-activity, v) tuple for each heap entry, a
-    decision step that pops the heap until a live entry comes up or the heap
-    is empty, so a SAT answer drains the heap, and a reduction that scans
+    on each literal, a fresh (-activity, v) tuple for each heap entry, which
+    only decision variables get, a decision step that pops the heap until a
+    live decision variable comes up or the heap is empty, so a SAT answer
+    drains the heap, and a reduction that scans
     both watch lists of each dropped clause for it. Its `_solve` keeps
     propagation, assumption pushes and decisions apart, as MiniSat does,
     where `Solver._propagate` pushes and decides itself. It ignores
@@ -452,7 +520,8 @@ class ReferenceSolver(Solver):
             self.phase[v] = lit > 0
             self.assigns[v] = UNDEF
             self.reason[v] = None
-            heapq.heappush(self._heap, (-self.activity[v], v))
+            if self.decision[v]:
+                heapq.heappush(self._heap, (-self.activity[v], v))
         del self.trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = bound
@@ -461,7 +530,8 @@ class ReferenceSolver(Solver):
 
     def _rebuild_heap(self):
         self._heap[:] = [
-            (-self.activity[v], v) for v in range(1, self.nvars + 1) if self.assigns[v] == UNDEF
+            (-self.activity[v], v) for v in range(1, self.nvars + 1)
+            if self.assigns[v] == UNDEF and self.decision[v]
         ]
         heapq.heapify(self._heap)
 
@@ -472,7 +542,7 @@ class ReferenceSolver(Solver):
                 self.activity[i] *= 1e-100
             self.var_inc *= 1e-100
             self._rebuild_heap()
-        elif self.assigns[v] == UNDEF:
+        elif self.assigns[v] == UNDEF and self.decision[v]:
             heapq.heappush(self._heap, (-self.activity[v], v))
 
     def _solve(self, assumptions, deadline):
@@ -521,7 +591,8 @@ class ReferenceSolver(Solver):
             v = 0
             while self._heap:
                 negact, cand = heapq.heappop(self._heap)
-                if self.assigns[cand] == UNDEF and -negact == self.activity[cand]:
+                live = self.assigns[cand] == UNDEF and -negact == self.activity[cand]
+                if live and self.decision[cand]:
                     v = cand
                     break
             if v == 0:
@@ -538,12 +609,11 @@ def _watch_state(s):
 @settings(max_examples=120, deadline=None)
 @given(incremental_scripts())
 def test_propagation_makes_the_reference_search(script):
-    n, ops = script
-    fast, s = _run_script(Solver, n, ops)
-    plain, ref = _run_script(ReferenceSolver, n, ops)
+    fast, s = _run_script(Solver, *script)
+    plain, ref = _run_script(ReferenceSolver, *script)
     assert fast == plain
     assert _watch_state(s) == _watch_state(ref)
-    assert s._heap == ref._heap
+    assert s._heap == ref._heap and s.decision == ref.decision
     assert s._key == [(-a, v) for v, a in enumerate(s.activity)]
 
 

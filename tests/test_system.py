@@ -161,6 +161,22 @@ def test_instance_assumptions_must_avoid_state_vars():
         Instance(inst.system, "bad", (inst.system.state_vars[0],))
 
 
+@pytest.mark.parametrize("var, error", [
+    (1, "1 is a state or primed variable"),
+    (4, "4 is a state or primed variable"),
+    (0, "0 is not allocated"),
+    (6, "6 is not allocated"),
+])
+def test_never_decided_variables_must_be_allocated_auxiliaries(var, error):
+    def system(never_decided):
+        return TransitionSystem(["a", "b"], [1, 2], [3, 4], 5, [], [], [],
+                                never_decided=never_decided)
+
+    assert system([5]).never_decided == {5}
+    with pytest.raises(ValueError, match=f"never-decided variable {error}"):
+        system([5, var])
+
+
 def test_family_direction_validated():
     inst = constrained_two_bit()
     with pytest.raises(ValueError):
