@@ -10,9 +10,10 @@ sweep of the workload once with the configuration perfbench uses. A change
 meant to keep the search ("same answers, cheaper") must leave the digest,
 the solves, the conflicts and the decisions as they are; the propagations
 may fall when the change removes work that decides nothing. One line per sweep, in run
-order, comes first: its name, solves, conflicts and a SHA-1 over that
-sweep's query answers alone, so a change meant to move one driver's search
-can show that the other sweeps kept theirs. The totals follow.
+order, comes first: its name, solves, conflicts, its CTG blocks over CTG
+tries (summed from the sweep's stats rows) and a SHA-1 over that sweep's
+query answers alone, so a change meant to move one driver's search can
+show that the other sweeps kept theirs. The totals follow.
 
 Each query of `SingleContextSolver` adds one record (kind, level or None,
 its arguments, its answer). The kinds are the levelled `rel_ind`,
@@ -146,9 +147,12 @@ def main(argv=None) -> int:
         for sweep in wl.sweeps:
             solves, conflicts = digest.solves, digest.conflicts
             digest.sweep_sha = hashlib.sha1()
-            sweep.run(cfg)
+            rows = sweep.run(cfg).per_instance_stats
+            tries = sum(r.ctg_tries for r in rows)
+            blocks = sum(r.ctg_blocks for r in rows)
             print(f"sweep        {sweep.name:<20} solves {digest.solves - solves:>6}  "
-                  f"conflicts {digest.conflicts - conflicts:>5}  {digest.sweep_sha.hexdigest()}")
+                  f"conflicts {digest.conflicts - conflicts:>5}  "
+                  f"ctg {blocks:>4}/{tries:<5} {digest.sweep_sha.hexdigest()}")
     finally:
         digest.uninstall()
     print(f"solves       {digest.solves}")

@@ -292,13 +292,19 @@ def _instance_by_label(family: InstanceFamily, label: str) -> Instance:
 def cmd_validate(args) -> int:
     try:
         doc = json.loads(Path(args.verdict).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError("verdict document must be a JSON object")
         family = _family(doc["problem"])
         if "trace" not in doc and "invariant" not in doc:
             raise ValueError("verdict carries neither a trace nor an invariant")
         checks: dict[str, bool] = {}
         if "trace" in doc:
             label = doc.get("trace_instance") or doc["instance"]
-            states = [State.from_bits(b) for b in doc["trace"]["states"]]
+            bits = doc["trace"]["states"]
+            for i, b in enumerate(bits):
+                if not isinstance(b, str):
+                    raise ValueError(f"trace state {i} must be a bit string")
+            states = [State.from_bits(b) for b in bits]
             checks.update(check_trace(_instance_by_label(family, label), states))
         if "invariant" in doc:
             label = doc.get("invariant_instance") or doc["instance"]

@@ -52,9 +52,16 @@ class UsageError(Exception):
 
 
 # generalization blocks counterexamples to generalization (CTGs) nested at
-# most CTG_DEPTH deep, and at most MAX_CTGS in a row for one candidate cube
+# most CTG_DEPTH deep, and at most MAX_CTGS in a row for one candidate cube.
+# A context tries a CTG only while its tries stay below CTG_CREDIT times one
+# more than its blocked CTGs: each blocked CTG earns CTG_CREDIT more tries,
+# and a context that blocks none of its first CTG_CREDIT stops trying for
+# good, across repairs too. A CTG that is not blocked costs a query and
+# changes nothing; on pebbling almost none block, while filter-lock contexts
+# block about half of theirs, so the rule keeps CTG only where it pays.
 CTG_DEPTH = 1
 MAX_CTGS = 5
+CTG_CREDIT = 16
 
 
 @dataclass
@@ -104,6 +111,8 @@ class Obligation:
 class EngineCounters:
     cti: int = 0
     obligations: int = 0
+    ctg_tries: int = 0  # CTG blocking queries in `_ctg_down`
+    ctg_blocks: int = 0  # of them, the ones that blocked
 
 
 # --- frame solver -------------------------------------------------------------------
@@ -363,7 +372,7 @@ def generalize(ctx: PdrCtx, level: int, cube: Cube, seed: Cube | None = None, de
 def _ctg_down(ctx: PdrCtx, q: Cube, level: int, depth: int) -> tuple[bool, Cube]:
     """Try to establish a candidate subcube, strengthening frames against
     counterexamples to generalization and otherwise joining with them."""
-    fs, frames = ctx.fs, ctx.frames
+    fs, frames, counters = ctx.fs, ctx.frames, ctx.counters
     ctgs = 0
     while True:
         if not q.lits:
@@ -379,10 +388,13 @@ def _ctg_down(ctx: PdrCtx, q: Cube, level: int, depth: int) -> tuple[bool, Cube]
             depth < CTG_DEPTH
             and ctgs < MAX_CTGS
             and level > 1
+            and counters.ctg_tries < CTG_CREDIT * (counters.ctg_blocks + 1)
             and not fs.sat_init(m).sat
         ):
+            counters.ctg_tries += 1
             m_blocked, _ = fs.rel_ind(level - 1, m)
             if m_blocked:
+                counters.ctg_blocks += 1
                 j = level
                 while j <= frames.k and fs.rel_ind(j, m)[0]:
                     j += 1

@@ -22,7 +22,7 @@ globals, so a wrapper set on the module sees every call.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .certify import check_trace
 from .engine import (
@@ -188,7 +188,8 @@ def _visit(
         ctx = pdr_init(inst, cfg)
     if cfg.timeout_s is not None:
         ctx.fs.deadline = t0 + cfg.timeout_s
-    before = (ctx.counters.cti, ctx.counters.obligations, ctx.fs.sat_calls, ctx.fs.sat_time_s)
+    c = ctx.counters
+    c0, calls0, time0 = replace(c), ctx.fs.sat_calls, ctx.fs.sat_time_s
     prep = 0.0
     if not fresh:
         relaxing = strategy != "constrain"
@@ -212,10 +213,12 @@ def _visit(
     row = RunStats(
         instance_label=inst.label,
         verdict_kind="invariant" if isinstance(verdict, Invariant) else "trace",
-        cti_count=ctx.counters.cti - before[0],
-        obligations_handled=ctx.counters.obligations - before[1],
-        sat_calls=ctx.fs.sat_calls - before[2],
-        sat_time=ctx.fs.sat_time_s - before[3],
+        cti_count=c.cti - c0.cti,
+        obligations_handled=c.obligations - c0.obligations,
+        ctg_tries=c.ctg_tries - c0.ctg_tries,
+        ctg_blocks=c.ctg_blocks - c0.ctg_blocks,
+        sat_calls=ctx.fs.sat_calls - calls0,
+        sat_time=ctx.fs.sat_time_s - time0,
         copy_attempts=attempts,
         copied_clauses=copied,
         incr_prep_time=prep,

@@ -27,6 +27,8 @@ COLUMNS = (
     ("verdict", "verdict_kind", str),
     ("cti_count", "cti_count", int),
     ("obligations", "obligations_handled", int),
+    ("ctg_tries", "ctg_tries", int),
+    ("ctg_blocks", "ctg_blocks", int),
     ("sat_calls", "sat_calls", int),
     ("sat_time_s", "sat_time", float),
     ("copy_attempts", "copy_attempts", int),
@@ -52,6 +54,8 @@ class RunStats:
     verdict_kind: str  # "invariant" | "trace"
     cti_count: int = 0
     obligations_handled: int = 0
+    ctg_tries: int = 0
+    ctg_blocks: int = 0
     sat_calls: int = 0
     sat_time: float = 0.0
     copy_attempts: int = 0

@@ -326,7 +326,7 @@ def test_seven_wire_circuit_crosscheck_report():
 def _counters(rows):
     return [
         (r.instance_label, r.verdict_kind, r.cti_count, r.obligations_handled,
-         r.sat_calls, r.copy_attempts, r.copied_clauses)
+         r.ctg_tries, r.ctg_blocks, r.sat_calls, r.copy_attempts, r.copied_clauses)
         for r in rows
     ]
 

@@ -421,6 +421,30 @@ def test_validate_malformed_json(capsys, tmp_path):
     assert doc is None
 
 
+def test_validate_rejects_a_document_that_is_not_an_object(capsys, tmp_path):
+    p = tmp_path / "list.json"
+    p.write_text("[]")
+    code = main(["validate", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "verdict document must be a JSON object" in captured.err
+
+
+def test_validate_rejects_a_trace_state_that_is_not_a_string(capsys, tmp_path):
+    f = tmp_path / "one_init.sys"
+    f.write_text(TWO_INIT_SYS.replace("init 00\n", ""))
+    _, _, out = _emit_verdict(capsys, tmp_path, "solve", str(f))
+    doc = json.loads(out.read_text())
+    doc["trace"]["states"] = [[0]]
+    out.write_text(json.dumps(doc))
+    code = main(["validate", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "trace state 0 must be a bit string" in captured.err
+
+
 def test_validate_missing_payload(capsys, tmp_path):
     p = tmp_path / "empty.json"
     p.write_text(json.dumps({"problem": {"kind": "system", "source": "x"}}))
@@ -476,7 +500,7 @@ def test_bench_determinism_across_runs(capsys, tmp_path, suite):
         run(capsys, "bench", str(suite), "--strategies", "relax",
             "--seeds", "7", "--stats", str(stats))
         csvs.append([
-            line.split(",")[:7] for line in stats.read_text().splitlines()
+            line.split(",")[:9] for line in stats.read_text().splitlines()
         ])
     assert csvs[0] == csvs[1]  # counter columns identical, timings excluded
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from ipdr.certify import Skeleton
 from ipdr.cnf import Clause, Cube
 from ipdr.engine import (
+    CTG_CREDIT,
     BudgetExceeded,
     Frames,
     Invariant,
@@ -392,6 +393,28 @@ def test_unconstrained_state_variables_take_their_initial_values():
     fs.frames.ensure_level(2)
     assert fs.sat_cube_bad(Cube([x1, x2, x3]))  # saves x2 and x3 as true
     assert fs.bad_cube_at(1) == Cube([x1, -x2, -x3])
+
+
+# --- CTG credit ---------------------------------------------------------------------
+
+
+def _fresh_run(inst):
+    ctx = PdrCtx(inst, PdrConfig())
+    pdr_main(ctx)
+    return ctx.counters
+
+
+def test_a_context_whose_ctgs_never_block_stops_trying_them():
+    dag = load_dag(str(Path(__file__).parent.parent / "benchmarks" / "ham7tc.tfc"))
+    counters = _fresh_run(encode_pebbling(dag, [23]).instances[0])
+    assert counters.ctg_blocks == 0
+    assert counters.ctg_tries == CTG_CREDIT
+
+
+def test_a_context_whose_ctgs_block_keeps_trying_them():
+    counters = _fresh_run(encode_peterson(3, [0]).instances[0])
+    assert counters.ctg_tries > CTG_CREDIT
+    assert counters.ctg_tries <= CTG_CREDIT * (counters.ctg_blocks + 1)
 
 
 # --- retired activation literals ------------------------------------------------------
