@@ -289,18 +289,24 @@ def _instance_by_label(family: InstanceFamily, label: str) -> Instance:
     raise ValueError(f"no instance labeled {label!r}")
 
 
+def _typed(value, kind: type, field: str):
+    """`value` when it is a `kind` (dict or list), else a ValueError that
+    names the verdict document's `field`."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{field} must be a JSON {'object' if kind is dict else 'list'}")
+    return value
+
+
 def cmd_validate(args) -> int:
     try:
-        doc = json.loads(Path(args.verdict).read_text())
-        if not isinstance(doc, dict):
-            raise ValueError("verdict document must be a JSON object")
-        family = _family(doc["problem"])
+        doc = _typed(json.loads(Path(args.verdict).read_text()), dict, "verdict document")
+        family = _family(_typed(doc["problem"], dict, "problem"))
         if "trace" not in doc and "invariant" not in doc:
             raise ValueError("verdict carries neither a trace nor an invariant")
         checks: dict[str, bool] = {}
         if "trace" in doc:
             label = doc.get("trace_instance") or doc["instance"]
-            bits = doc["trace"]["states"]
+            bits = _typed(_typed(doc["trace"], dict, "trace")["states"], list, "trace states")
             for i, b in enumerate(bits):
                 if not isinstance(b, str):
                     raise ValueError(f"trace state {i} must be a bit string")
@@ -308,7 +314,10 @@ def cmd_validate(args) -> int:
             checks.update(check_trace(_instance_by_label(family, label), states))
         if "invariant" in doc:
             label = doc.get("invariant_instance") or doc["instance"]
-            lits = doc["invariant"]["clauses"]
+            invariant = _typed(doc["invariant"], dict, "invariant")
+            lits = _typed(invariant["clauses"], list, "invariant clauses")
+            for i, c in enumerate(lits):
+                _typed(c, list, f"invariant clause {i}")
             # JSON true and false are Python ints too
             if any(type(lit) is not int for c in lits for lit in c):
                 raise ValueError("invariant literals must be integers")

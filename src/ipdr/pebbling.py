@@ -3,18 +3,25 @@
 One boolean per node: pebbled or not. Flipping a node in either direction
 requires every predecessor pebbled both before and after the step, any set
 of nodes compatible with that rule may flip simultaneously, and the board
-starts empty. The pebble budget is a totalizer over the next-state
+starts empty. The pebble budget is a totalizer over the current-state
 variables, whose j-th unary output is forced true once j nodes are pebbled
 (the upward half only; see `totalizer_clauses`). It is imposed per
 instance by assuming the outputs above the budget false, so the initial
 condition is shared by every family member and only the step relation
-varies. Each totalizer clause holds one of the totalizer's variables
+varies. Every query assumes the budget, so it bounds every state a step
+leaves, every predecessor and every bad state; a move into an over-budget
+configuration is a dead end that is never bad (the constraint semantics
+of AIGER 1.9). A trace therefore stays within the budget at every step,
+and no query hands the search an unreachable over-budget predecessor.
+Each totalizer clause holds one of the totalizer's variables
 positively, the output it forces, so the system marks them all
 never-decided: a SAT answer stops once the other variables are assigned,
 and leaves the outputs that no clause forced unassigned (all of them may
 be false). A counterexample to "the goal configuration is never reached"
 is a pebbling strategy; an invariant is an impossibility certificate for
-the budget.
+the budget, valid against this encoding only: one saved by a version that
+bounded the next state instead may fail `ipdr validate`, while a saved
+strategy stays valid.
 """
 
 from __future__ import annotations
@@ -188,8 +195,10 @@ def encode_pebbling(
     dag: Dag, p_values: list[int], direction: str = "relaxing"
 ) -> InstanceFamily:
     """Family over pebble budgets. Instance parameter p assumes the
-    totalizer outputs above p away; raising p releases assumptions, so
-    ascending budgets relax."""
+    outputs above p of the totalizer over the current-state bits away, so
+    a step leaves only a configuration of at most p pebbles and the bad
+    state has at most p; raising p releases assumptions, so ascending
+    budgets relax."""
     ps = sorted(set(p_values))
     if not ps:
         raise UsageError("need at least one pebble budget")
@@ -207,7 +216,7 @@ def encode_pebbling(
             trans.append(Clause([-cur[v], nxt[v], cur[u]]))
             trans.append(Clause([-cur[v], nxt[v], nxt[u]]))
     first_aux = pool.n + 1
-    budget, defs = totalizer_clauses(pool, [nxt[v] for v in dag.nodes])
+    budget, defs = totalizer_clauses(pool, [cur[v] for v in dag.nodes])
     goal_missing = [-cur[v] for v in dag.outputs]
     goal_excess = [cur[v] for v in dag.nodes if v not in dag.outputs]
     prop = [Clause(goal_missing + goal_excess)]

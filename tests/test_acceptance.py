@@ -15,6 +15,7 @@ from ipdr.engine import (
     pdr_init,
     pdr_main,
 )
+import ipdr.incremental as inc
 from ipdr.incremental import (
     ipdr_binary,
     ipdr_constrain,
@@ -318,6 +319,31 @@ def test_seven_wire_circuit_crosscheck_report():
         print(f"this circuit:  p={p}: {kind}{extra}")
     strategies = [f for f in found if f[1] == "strategy"]
     assert strategies, "no budget admitted a strategy within the probe budget"
+
+
+def test_ham7tc_constraining_sweep_down_to_12(monkeypatch):
+    # one constraining context from 23 pebbles down to 12, with no deadline;
+    # a budget where the last trace replays gets that trace back
+    dag = load_dag("benchmarks/ham7tc.tfc")
+    visit = inc._visit
+    verdicts = []
+
+    def record(ctx, inst, *args):
+        got = visit(ctx, inst, *args)
+        verdicts.append((inst.param, got[1]))
+        return got
+
+    monkeypatch.setattr(inc, "_visit", record)
+    t0 = time.perf_counter()
+    out = ipdr_constrain(encode_pebbling(dag, list(range(12, 24)), "constraining"),
+                         PdrConfig(seed=0))
+    dt = time.perf_counter() - t0
+    assert [p for p, _ in verdicts] == list(range(23, 11, -1))
+    for p, verdict in verdicts:
+        assert isinstance(verdict, Trace), f"p={p}"
+        assert decode_pebbling_trace(verdict, dag).max_pebbles <= p, f"p={p}"
+    calls = sum(r.sat_calls for r in out.per_instance_stats)
+    print(f"\nham7tc 23->12 constraining: {calls} SAT calls, {dt:.1f} s")
 
 
 # --- 7: identical runs produce identical counters ----------------------------------

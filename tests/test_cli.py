@@ -445,6 +445,49 @@ def test_validate_rejects_a_trace_state_that_is_not_a_string(capsys, tmp_path):
     assert "trace state 0 must be a bit string" in captured.err
 
 
+def _validate_edited(capsys, tmp_path, sys_text, edit):
+    """Exit code and stderr of `ipdr validate` on the `solve` verdict of
+    `sys_text` after `edit` changed the document in place."""
+    f = tmp_path / "fam.sys"
+    f.write_text(sys_text)
+    _, _, out = _emit_verdict(capsys, tmp_path, "solve", str(f))
+    doc = json.loads(out.read_text())
+    edit(doc)
+    out.write_text(json.dumps(doc))
+    code = main(["validate", str(out)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(trace=[]), "trace must be a JSON object"),
+    (lambda doc: doc["trace"].update(states=5), "trace states must be a JSON list"),
+], ids=["trace", "states"])
+def test_validate_rejects_a_mistyped_trace(capsys, tmp_path, edit, message):
+    code, err = _validate_edited(capsys, tmp_path, RELAXING_SYS, edit)
+    assert code == 2
+    assert message in err
+
+
+def test_validate_rejects_a_problem_that_is_not_an_object(capsys, tmp_path):
+    code, err = _validate_edited(capsys, tmp_path, RELAXING_SYS,
+                                 lambda doc: doc.update(problem=[]))
+    assert code == 2
+    assert "problem must be a JSON object" in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["invariant"].update(clauses=[5]), "invariant clause 0 must be a JSON list"),
+    (lambda doc: doc["invariant"].update(clauses=5), "invariant clauses must be a JSON list"),
+    (lambda doc: doc.update(invariant=[]), "invariant must be a JSON object"),
+], ids=["clause", "clauses", "invariant"])
+def test_validate_rejects_a_mistyped_invariant(capsys, tmp_path, edit, message):
+    code, err = _validate_edited(capsys, tmp_path, CONSTRAINING_SYS, edit)
+    assert code == 2
+    assert message in err
+
+
 def test_validate_missing_payload(capsys, tmp_path):
     p = tmp_path / "empty.json"
     p.write_text(json.dumps({"problem": {"kind": "system", "source": "x"}}))

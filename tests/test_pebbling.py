@@ -203,10 +203,17 @@ def test_refinement_matches_step_set_inclusion_on_diamond():
 
 
 def test_budget_bounds_the_reachable_configurations():
+    # the budget bounds the state a step leaves: a move may enter an
+    # over-budget configuration, which then has no successor
     fam = encode_pebbling(CHAIN2, [1, 2])
     reached = [{s.bits for s in explicit_reachable(i)} for i in fam.instances]
-    assert reached[0] == {"00", "10"}
+    assert reached[0] == {"00", "10", "11"}
     assert reached[1] == {"00", "10", "11", "01"}
+    p1 = fam.instances[0]
+    solver = oracle_solver(p1, effective_trans(p1))
+    movers = {b for b in reached[0] if successors(solver, p1, State.from_bits(b))}
+    assert movers == {"00", "10"}
+    assert successors(solver, p1, State((True, True))) == []
 
 
 # --- verdicts on fixed dags ---------------------------------------------------------
