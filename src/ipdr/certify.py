@@ -15,19 +15,18 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .cnf import Clause, Cube, FAnd, FOr, FVar
-from .solver import SatResult, Solver, model_cube, tseitin_clauses
+from .cnf import Clause, Cube, and_gate, or_gate
+from .solver import SatResult, Solver, model_cube
 from .system import (Instance, State, TransitionSystem, effective_init,
                      effective_trans, full_assumptions)
 
 
 def _assert_negation(solver: Solver, clauses: Sequence[Clause]) -> int:
-    """Define a literal equivalent to the negation of a clause conjunction
-    (false for the empty one)."""
-    if not clauses:
-        return -solver.true_lit()
-    f = FOr(*[FAnd(*[FVar(-l) for l in c]) for c in clauses])
-    root, defs = tseitin_clauses(solver, f)
+    """Define a literal equivalent to the negation of a clause conjunction:
+    the OR gate over one AND gate per negated clause (a fresh literal fixed
+    false for the empty conjunction)."""
+    defs: list[Clause] = []
+    root = or_gate(solver, [and_gate(solver, [-l for l in c], defs) for c in clauses], defs)
     for c in defs:
         solver.add_clause(c.lits)
     return root
@@ -252,7 +251,7 @@ def check_refines(inst1: Instance, inst2: Instance) -> bool:
     `effective_trans`; T2 includes its counter bounds). Instance 1 is seen
     as PDR's queries see it, under its assumptions `gamma`. One skeleton
     bound to instance 1 asks UNSAT(I1 and not I2) and UNSAT(T1 and not T2),
-    each negation one Tseitin literal.
+    each negation one gate literal (`_assert_negation`).
 
     Both instances must share one system, as a family's members do; raises
     ValueError otherwise. A True answer is always right: the auxiliary

@@ -94,19 +94,21 @@ def _family(problem: dict, dag: Dag | None = None) -> InstanceFamily:
     pebbling source when the caller has loaded it already."""
     kind = problem["kind"]
     if kind in ("system", "family"):
-        return parse_explicit_family(Path(problem["source"]).read_text())
+        source = _typed(problem["source"], str, "problem source")
+        return parse_explicit_family(Path(source).read_text())
     if kind == "pebbling":
-        dag = dag or load_dag(problem["source"])
-        lo, hi = problem["pebbles"]
+        dag = dag or load_dag(_typed(problem["source"], str, "problem source"))
+        lo, hi = _int_pair(problem["pebbles"], "problem pebbles")
         check_budgets(dag, lo, hi)
         return encode_pebbling(dag, list(range(lo, hi + 1)))
     if kind == "peterson":
-        lo, hi = problem["switches"]
+        lo, hi = _int_pair(problem["switches"], "problem switches")
         check_switch_bounds(problem["procs"], lo, hi)
+        broken = problem.get("remove_wait_condition", False)
         return encode_peterson(
             problem["procs"],
             list(range(lo, hi + 1)),
-            remove_wait_condition=problem.get("remove_wait_condition", False),
+            remove_wait_condition=_typed(broken, bool, "problem remove_wait_condition"),
         )
     raise ValueError(f"unknown problem kind {kind!r}")
 
@@ -289,11 +291,22 @@ def _instance_by_label(family: InstanceFamily, label: str) -> Instance:
     raise ValueError(f"no instance labeled {label!r}")
 
 
+_JSON_KINDS = {dict: "object", list: "list", str: "string", bool: "boolean"}
+
+
 def _typed(value, kind: type, field: str):
-    """`value` when it is a `kind` (dict or list), else a ValueError that
-    names the verdict document's `field`."""
+    """`value` when it is a `kind` (dict, list, str or bool), else a
+    ValueError that names the verdict document's `field`."""
     if not isinstance(value, kind):
-        raise ValueError(f"{field} must be a JSON {'object' if kind is dict else 'list'}")
+        raise ValueError(f"{field} must be a JSON {_JSON_KINDS[kind]}")
+    return value
+
+
+def _int_pair(value, field: str) -> list[int]:
+    """`value` when it is a list of two integers, else a ValueError that
+    names the problem's `field`."""
+    if len(_typed(value, list, field)) != 2 or any(type(x) is not int for x in value):
+        raise ValueError(f"{field} must be a JSON list of two integers")
     return value
 
 

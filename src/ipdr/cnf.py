@@ -1,15 +1,21 @@
-"""Literals, clauses, cubes, and a tiny formula AST.
+"""Literals, clauses and cubes, and the encoders' auxiliary literals.
 
 Literals are nonzero ints in the DIMACS convention: variable v > 0 appears
 as v (positive) or -v (negated). Clauses and cubes store their literals as
 tuples sorted by variable id, so equality, hashing, and subsumption are
 syntactic.
+
+An encoder defines an auxiliary literal in one way: `and_gate` and
+`or_gate` name a conjunction or disjunction of literals, and `totalizer`
+counts them, each appending its defining clauses to a list over fresh
+variables from a `VarPool` (or a `Solver`, which has the same
+`fresh_var`). Nesting the calls builds a formula bottom up, each gate's
+variable allocated after its inputs'.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def var_of(lit: int) -> int:
@@ -107,37 +113,90 @@ class Cube:
         return cube
 
 
-# --- formula AST for Tseitin encoding ---------------------------------------
+# --- auxiliary variables -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FVar:
-    lit: int  # any literal, including negative
+class VarPool:
+    """Allocates variable ids for building systems away from any solver."""
 
-    def __post_init__(self):
-        if self.lit == 0:
-            raise ValueError("literal 0")
+    __slots__ = ("n",)
 
+    def __init__(self, n: int = 0):
+        self.n = n
 
-@dataclass(frozen=True)
-class FNot:
-    child: "Formula"
+    def fresh_var(self) -> int:
+        self.n += 1
+        return self.n
 
-
-@dataclass(frozen=True)
-class FAnd:
-    children: tuple["Formula", ...]
-
-    def __init__(self, *children: "Formula"):
-        object.__setattr__(self, "children", tuple(children))
+    def fresh_vars(self, count: int) -> list[int]:
+        return [self.fresh_var() for _ in range(count)]
 
 
-@dataclass(frozen=True)
-class FOr:
-    children: tuple["Formula", ...]
+def and_gate(alloc, lits: Sequence[int], out: list[Clause]) -> int:
+    """A literal equivalent to the conjunction of `lits` (Tseitin, 1968),
+    its defining clauses appended to `out` over a fresh variable from
+    `alloc` (anything with `fresh_var`). One literal passes through; the
+    empty conjunction is a fresh variable forced true. For every assignment
+    of the literals exactly one extension satisfies the clauses."""
+    return _gate(alloc, lits, out, 1)
 
-    def __init__(self, *children: "Formula"):
-        object.__setattr__(self, "children", tuple(children))
+
+def or_gate(alloc, lits: Sequence[int], out: list[Clause]) -> int:
+    """A literal equivalent to the disjunction of `lits`; the dual of
+    `and_gate`, so the empty disjunction is a fresh variable forced
+    false."""
+    return _gate(alloc, lits, out, -1)
 
 
-Formula = FVar | FNot | FAnd | FOr
+def _gate(alloc, lits: Sequence[int], out: list[Clause], sign: int) -> int:
+    """The AND gate (`sign` 1) or the OR gate (-1): a binary clause per
+    literal, in order, then the long clause, which a complementary pair
+    among the literals makes a tautology and so is left out."""
+    if len(lits) == 1:
+        return lits[0]
+    z = alloc.fresh_var()
+    if not lits:
+        out.append(Clause([sign * z]))
+        return z
+    for l in lits:
+        out.append(Clause([-sign * z, sign * l]))
+    seen = set(lits)
+    if not any(-l in seen for l in seen):
+        out.append(Clause([sign * z, *(-sign * l for l in lits)]))
+    return z
+
+
+def totalizer(alloc, lits: Sequence[int], out: list[Clause]) -> tuple[int, ...]:
+    """Unary counting outputs over `lits` (Bailleux & Boufkhad, CP 2003),
+    their clauses appended to `out`: outputs[j-1] is forced true once j of
+    the literals are true, and is otherwise free, so assuming the outputs
+    from index p on false imposes "at most p". Upward direction only: a
+    leaf is a literal; a node splits its literals at ceil(n/2) and sums its
+    children's unary outputs a and b into r by the clauses a_i & b_j ->
+    r_{i+j}, with a_0 = b_0 = true. Bounds are only ever imposed by
+    assuming outputs false, and against a false output only the upward
+    clauses prune, so the downward half (r_{i+j+1} -> a_{i+1} | b_{j+1}),
+    which would make the outputs functionally determined, is left out (the
+    one-polarity argument of Plaisted & Greenbaum, JSC 1986). The clauses
+    are total: every assignment of the literals extends to the outputs (all
+    true, say). O(n log n) auxiliary variables, where a sequential counter
+    takes n(n+1)/2. The literals must be over distinct variables."""
+
+    def node(part: Sequence[int]) -> list[int]:
+        if len(part) == 1:
+            return [part[0]]
+        half = (len(part) + 1) // 2
+        a = node(part[:half])
+        b = node(part[half:])
+        r = [alloc.fresh_var() for _ in range(len(part))]
+        for i in range(len(a) + 1):
+            for j in range(len(b) + 1):
+                if i + j >= 1:
+                    up = [-a[i - 1]] if i else []
+                    if j:
+                        up.append(-b[j - 1])
+                    up.append(r[i + j - 1])
+                    out.append(Clause(up))
+        return r
+
+    return tuple(node(lits)) if lits else ()

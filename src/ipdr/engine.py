@@ -122,7 +122,7 @@ def init_cube(system: TransitionSystem) -> frozenset[int] | None:
     """The initial state s0 as a cube, when every clause of the initial
     condition is a unit and the units assign each state variable exactly
     once; otherwise None (for example an initial condition over several
-    states, whose clauses name a Tseitin root)."""
+    states, whose clause names an OR gate's literal)."""
     if not all(len(c) == 1 for c in system.init):
         return None
     lits = [c.lits[0] for c in system.init]

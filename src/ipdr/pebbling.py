@@ -5,7 +5,7 @@ requires every predecessor pebbled both before and after the step, any set
 of nodes compatible with that rule may flip simultaneously, and the board
 starts empty. The pebble budget is a totalizer over the current-state
 variables, whose j-th unary output is forced true once j nodes are pebbled
-(the upward half only; see `totalizer_clauses`). It is imposed per
+(the upward half only; see `cnf.totalizer`). It is imposed per
 instance by assuming the outputs above the budget false, so the initial
 condition is shared by every family member and only the step relation
 varies. Every query assumes the budget, so it bounds every state a step
@@ -28,9 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import Clause
+from .cnf import Clause, VarPool, totalizer
 from .engine import EngineError, Trace, UsageError
-from .solver import VarPool, totalizer_clauses
 from .system import Instance, InstanceFamily, TransitionSystem
 
 
@@ -216,7 +215,8 @@ def encode_pebbling(
             trans.append(Clause([-cur[v], nxt[v], cur[u]]))
             trans.append(Clause([-cur[v], nxt[v], nxt[u]]))
     first_aux = pool.n + 1
-    budget, defs = totalizer_clauses(pool, [cur[v] for v in dag.nodes])
+    defs: list[Clause] = []
+    outputs = totalizer(pool, [cur[v] for v in dag.nodes], defs)
     goal_missing = [-cur[v] for v in dag.outputs]
     goal_excess = [cur[v] for v in dag.nodes if v not in dag.outputs]
     prop = [Clause(goal_missing + goal_excess)]
@@ -235,7 +235,7 @@ def encode_pebbling(
         Instance(
             system=system,
             label=f"p{p}",
-            assumptions=budget.at_most_assumptions(p),
+            assumptions=tuple(-o for o in outputs[p:]),
             param=p,
         )
         for p in ps

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import Clause, FAnd, FNot, FOr, FVar
+from .cnf import Clause, VarPool, and_gate, or_gate
 from .engine import UsageError
-from .solver import VarPool, tseitin_clauses
 from .system import Instance, InstanceFamily, TransitionSystem
 
 _MAX_STATE_VARS = 120
@@ -134,36 +133,27 @@ def encode_peterson(
 
     defs: list[Clause] = []
 
-    def define(formula) -> int:
-        root, cls = tseitin_clauses(pool, formula)
-        defs.extend(cls)
-        return root
+    def conj(lits: list[int]) -> int:
+        return and_gate(pool, lits, defs)
 
-    def conj(lits: list[int]) -> FAnd:
-        return FAnd(*[FVar(l) for l in lits])
+    def disj(lits: list[int]) -> int:
+        return or_gate(pool, lits, defs)
 
-    moves = [define(conj(act.nxt_is(i))) for i in range(n)]
-    at = [
-        [define(conj(pc[i].cur_is(v))) for v in range(1 << b_pc)] for i in range(n)
-    ]
+    moves = [conj(act.nxt_is(i)) for i in range(n)]
+    at = [[conj(pc[i].cur_is(v)) for v in range(1 << b_pc)] for i in range(n)]
     below = {}
     for k in range(n):
-        eq = [define(conj(lv[k].cur_is(v))) for v in range(n - 1)]
+        eq = [conj(lv[k].cur_is(v)) for v in range(n - 1)]
         for l in range(1, n):
-            below[k, l] = define(FOr(*[FVar(e) for e in eq[:l]]))
+            below[k, l] = disj(eq[:l])
     may_pass = {}
     for i in range(n):
         for l in range(1, n):
-            overtaken = FNot(conj(last[l].cur_is(i)))
-            others_below = FAnd(*[FVar(below[k, l]) for k in range(n) if k != i])
-            may_pass[i, l] = define(FOr(overtaken, others_below))
-    switched = define(
-        FOr(
-            *[
-                FAnd(FOr(FVar(c), FVar(x)), FOr(FVar(-c), FVar(-x)))
-                for c, x in zip(act.cur, act.nxt)
-            ]
-        )
+            overtaken = -conj(last[l].cur_is(i))
+            others_below = conj([below[k, l] for k in range(n) if k != i])
+            may_pass[i, l] = disj([overtaken, others_below])
+    switched = disj(
+        [conj([disj([c, x]), disj([-c, -x])]) for c, x in zip(act.cur, act.nxt)]
     )
     # alias the next-state counter bits so bound instances can assume them
     alias = []

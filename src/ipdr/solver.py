@@ -1,4 +1,6 @@
-"""Incremental CDCL SAT solver with assumptions and unsat cores.
+"""Incremental CDCL SAT solver with assumptions and unsat cores. This
+module holds only the solver; the encoders' gates, totalizer and `VarPool`
+are in `cnf`.
 
 The solving discipline is monotone: no added clause is ever retracted, and
 per-query constraints enter only as assumption literals. Clauses that a
@@ -65,19 +67,9 @@ from __future__ import annotations
 import heapq
 import random
 import time
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cnf import (
-    Clause,
-    Cube,
-    FAnd,
-    FNot,
-    FOr,
-    Formula,
-    FVar,
-    var_of,
-)
+from .cnf import Cube, var_of
 
 TRUE = 1
 FALSE = -1
@@ -127,22 +119,6 @@ def model_cube(result: SatResult, variables: Iterable[int]) -> Cube:
     return Cube._canonical_tuple(lits)
 
 
-class VarPool:
-    """Allocates variable ids for building systems away from any solver."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int = 0):
-        self.n = n
-
-    def fresh_var(self) -> int:
-        self.n += 1
-        return self.n
-
-    def fresh_vars(self, count: int) -> list[int]:
-        return [self.fresh_var() for _ in range(count)]
-
-
 class Solver:
     def __init__(self, seed: int = 0):
         self.seed = seed
@@ -186,7 +162,6 @@ class Solver:
         self.n_propagations = 0
         self.n_decisions = 0
         self.solve_time_s = 0.0
-        self._true_lit: int | None = None
 
     # --- variables and clauses ----------------------------------------------
 
@@ -225,14 +200,6 @@ class Solver:
 
     def fresh_vars(self, count: int) -> list[int]:
         return [self.fresh_var() for _ in range(count)]
-
-    def true_lit(self) -> int:
-        """A literal constrained true; handy for constant subformulas."""
-        if self._true_lit is None:
-            v = self.fresh_var()
-            self.add_clause([v])
-            self._true_lit = v
-        return self._true_lit
 
     def _lit_idx(self, lit: int) -> int:
         return 2 * lit if lit > 0 else -2 * lit + 1
@@ -808,128 +775,3 @@ def _luby(i: int) -> int:
         seq -= 1
         x %= size
     return 1 << seq
-
-
-# --- Tseitin encoding ---------------------------------------------------------
-
-
-def tseitin_clauses(alloc, formula: Formula) -> tuple[int, list[Clause]]:
-    """Encode `formula` into defining clauses over fresh variables from
-    `alloc` (anything with fresh_var). Returns (root literal, clauses).
-
-    Plain variables and negations pass through without fresh variables. For
-    every total assignment of the original variables there is exactly one
-    extension to the fresh variables satisfying the clauses, and it assigns
-    the root literal the truth value of the formula.
-    """
-    out: list[Clause] = []
-    cache: dict[Formula, int] = {}
-
-    def emit(lits: list[int]) -> None:
-        seen: set[int] = set(lits)
-        if any(-l in seen for l in seen):
-            return  # tautological defining clause constrains nothing
-        out.append(Clause(lits))
-
-    def enc(f: Formula) -> int:
-        if f in cache:
-            return cache[f]
-        lit = _enc(f)
-        cache[f] = lit
-        return lit
-
-    def _enc(f: Formula) -> int:
-        match f:
-            case FVar(lit):
-                return lit
-            case FNot(child):
-                return -enc(child)
-            case FAnd(children):
-                if not children:
-                    z = alloc.fresh_var()
-                    out.append(Clause([z]))
-                    return z
-                lits = [enc(c) for c in children]
-                if len(lits) == 1:
-                    return lits[0]
-                z = alloc.fresh_var()
-                for l in lits:
-                    emit([-z, l])
-                emit([z] + [-l for l in lits])
-                return z
-            case FOr(children):
-                if not children:
-                    z = alloc.fresh_var()
-                    out.append(Clause([-z]))
-                    return z
-                lits = [enc(c) for c in children]
-                if len(lits) == 1:
-                    return lits[0]
-                z = alloc.fresh_var()
-                for l in lits:
-                    emit([z, -l])
-                emit([-z] + lits)
-                return z
-        raise TypeError(f"not a formula: {f!r}")
-
-    root = enc(formula)
-    return root, out
-
-
-# --- totalizer -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CountingLadder:
-    """Unary counting outputs over a fixed literal list: outputs[j-1] is
-    forced true once j of the counted literals are true, and is otherwise
-    free. Bounds are imposed per query by assuming output negations;
-    nothing is asserted here."""
-
-    counted: tuple[int, ...]
-    outputs: tuple[int, ...]
-
-    def at_most_assumptions(self, bound: int) -> tuple[int, ...]:
-        """Assumption literals imposing count <= bound (release-style: all
-        outputs above the bound are negated). Under them the clauses are
-        satisfiable exactly when at most `bound` literals are true."""
-        if bound < 0:
-            raise ValueError("bound must be >= 0")
-        return tuple(-o for o in self.outputs[bound:])
-
-
-def totalizer_clauses(alloc, lits: Sequence[int]) -> tuple[CountingLadder, list[Clause]]:
-    """Totalizer (Bailleux & Boufkhad, CP 2003) with the upward direction
-    only: outputs[j-1] is forced true once j counted literals are true. A
-    leaf is a counted literal; a node splits its literals at ceil(n/2) and
-    sums its children's unary outputs a and b into r by the clauses
-    a_i & b_j -> r_{i+j}, with a_0 = b_0 = true. Bounds are only ever
-    imposed by assuming outputs false, and against a false output only the
-    upward clauses prune, so the downward half (r_{i+j+1} -> a_{i+1} |
-    b_{j+1}), which would make the outputs functionally determined, is
-    left out (the one-polarity argument of Plaisted & Greenbaum, JSC 1986).
-    The clauses are total: every assignment of the counted literals extends
-    to the outputs (all true, say). O(n log n) auxiliary variables, where a
-    sequential counter takes n(n+1)/2. The counted literals must be over
-    distinct variables."""
-    out: list[Clause] = []
-
-    def node(part: Sequence[int]) -> list[int]:
-        if len(part) == 1:
-            return [part[0]]
-        half = (len(part) + 1) // 2
-        a = node(part[:half])
-        b = node(part[half:])
-        r = [alloc.fresh_var() for _ in range(len(part))]
-        for i in range(len(a) + 1):
-            for j in range(len(b) + 1):
-                if i + j >= 1:
-                    up = [-a[i - 1]] if i else []
-                    if j:
-                        up.append(-b[j - 1])
-                    up.append(r[i + j - 1])
-                    out.append(Clause(up))
-        return r
-
-    outputs = node(lits) if lits else []
-    return CountingLadder(tuple(lits), tuple(outputs)), out

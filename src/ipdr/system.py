@@ -3,11 +3,11 @@ variables, instance families sharing one encoding, the guard reduction
 that gives each instance its own initial and step clauses, and explicit
 systems built from edge lists and their text format.
 
-A system's clauses split three ways: `defs` are definitional (Tseitin and
-counter variables) and total: every assignment of the other variables
-extends to the auxiliary ones, so asserting them removes no state and no
-step. They need not be functionally determined; the pebble-budget
-totalizer is not. `never_decided` names auxiliary variables that the
+A system's clauses split three ways: `defs` are definitional (the gate
+and totalizer variables of `cnf`) and total: every assignment of the other
+variables extends to the auxiliary ones, so asserting them removes no
+state and no step. They need not be functionally determined; the
+pebble-budget totalizer is not. `never_decided` names auxiliary variables that the
 solver never branches on (`Solver.fresh_var(decision=False)`), so a SAT
 answer may leave them unassigned and no query reads them off a model.
 Any set of auxiliary variables is sound, as the solver keeps at most one
@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cnf import Clause, Cube, FAnd, FOr, FVar, var_of
-from .solver import VarPool, tseitin_clauses
+from .cnf import Clause, Cube, VarPool, and_gate, or_gate, var_of
 
 
 class TransitionSystem:
@@ -262,33 +261,16 @@ def build_explicit_family(
     if len(uniq_inits) == 1:
         init_clauses = [Clause([l]) for l in cube_of(uniq_inits[0], False)]
     else:
-        f = FOr(*[FAnd(*[FVar(l) for l in cube_of(b, False)]) for b in uniq_inits])
-        root, tcl = tseitin_clauses(pool, f)
-        defs.extend(tcl)
-        init_clauses = [Clause([root])]
+        inits = [and_gate(pool, cube_of(b, False), defs) for b in uniq_inits]
+        init_clauses = [Clause([or_gate(pool, inits, defs)])]
 
     def edge_var(s: str, t: str) -> int:
-        ev = pool.fresh_var()
-        lits = cube_of(s, False) + cube_of(t, True)
-        for l in lits:
-            defs.append(Clause([-ev, l]))
-        defs.append(Clause([ev, *(-l for l in lits)]))
-        return ev
+        return and_gate(pool, cube_of(s, False) + cube_of(t, True), defs)
 
     base_vars = [edge_var(s, t) for s, t in sorted(set(edges))]
     group_vars = [[edge_var(s, t) for s, t in sorted(set(g))] for g in groups]
     every = base_vars + [ev for g in group_vars for ev in g]
-    trans_clauses: list[Clause]
-    if not every:
-        fv = pool.fresh_var()
-        defs.append(Clause([-fv]))
-        trans_clauses = [Clause([fv])]
-    else:
-        rv = pool.fresh_var()
-        defs.append(Clause([-rv, *every]))
-        for ev in every:
-            defs.append(Clause([rv, -ev]))
-        trans_clauses = [Clause([rv])]
+    trans_clauses = [Clause([or_gate(pool, every, defs)])]
     guards = [pool.fresh_var() for _ in groups]
     for g, evs in zip(guards, group_vars):
         for ev in evs:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import replace
 from itertools import product
 
-from ipdr.cnf import FAnd, FNot, FOr, FVar, var_of, is_positive
+from ipdr.cnf import var_of, is_positive
 from ipdr.solver import Solver
 from ipdr.system import (Instance, State, TransitionSystem, build_explicit_family,
                          effective_init, effective_trans)
@@ -49,20 +49,6 @@ def cnf_satisfiable(nvars: int, clauses: list[list[int]], fixed: dict[int, bool]
 
 def count_true(lits, assignment) -> int:
     return sum(1 for l in lits if assignment[var_of(l)] == is_positive(l))
-
-
-def eval_formula(f, assignment) -> bool:
-    """Truth value of a formula AST under a total assignment."""
-    match f:
-        case FVar(lit):
-            return assignment[var_of(lit)] == is_positive(lit)
-        case FNot(child):
-            return not eval_formula(child, assignment)
-        case FAnd(children):
-            return all(eval_formula(c, assignment) for c in children)
-        case FOr(children):
-            return any(eval_formula(c, assignment) for c in children)
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def bfs_reachable(init_states, successors):

@@ -450,7 +450,13 @@ def _validate_edited(capsys, tmp_path, sys_text, edit):
     `sys_text` after `edit` changed the document in place."""
     f = tmp_path / "fam.sys"
     f.write_text(sys_text)
-    _, _, out = _emit_verdict(capsys, tmp_path, "solve", str(f))
+    return _validate_edited_verdict(capsys, tmp_path, ["solve", str(f)], edit)
+
+
+def _validate_edited_verdict(capsys, tmp_path, argv, edit):
+    """Exit code and stderr of `ipdr validate` on the verdict of the
+    command `argv` after `edit` changed the document in place."""
+    _, _, out = _emit_verdict(capsys, tmp_path, *argv)
     doc = json.loads(out.read_text())
     edit(doc)
     out.write_text(json.dumps(doc))
@@ -484,6 +490,33 @@ def test_validate_rejects_a_problem_that_is_not_an_object(capsys, tmp_path):
 ], ids=["clause", "clauses", "invariant"])
 def test_validate_rejects_a_mistyped_invariant(capsys, tmp_path, edit, message):
     code, err = _validate_edited(capsys, tmp_path, CONSTRAINING_SYS, edit)
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("command, field, value, message", [
+    ("solve", "source", 7, "problem source must be a JSON string"),
+    ("pebble", "source", 7, "problem source must be a JSON string"),
+    ("pebble", "source", ["x"], "problem source must be a JSON string"),
+    ("pebble", "pebbles", 5, "problem pebbles must be a JSON list"),
+    ("pebble", "pebbles", [1, 2, 3], "problem pebbles must be a JSON list of two integers"),
+    ("peterson", "switches", "0..2", "problem switches must be a JSON list"),
+    ("peterson", "switches", [0, 1.5], "problem switches must be a JSON list of two integers"),
+    ("peterson", "remove_wait_condition", "yes",
+     "problem remove_wait_condition must be a JSON boolean"),
+], ids=["system-source", "pebbling-source", "source-list", "pebbles", "pebbles-three",
+        "switches", "switches-fraction", "remove_wait_condition"])
+def test_validate_rejects_a_mistyped_problem_field(capsys, tmp_path, chain3, command,
+                                                   field, value, message):
+    f = tmp_path / "fam.sys"
+    f.write_text(RELAXING_SYS)
+    argv = {
+        "solve": ["solve", str(f)],
+        "pebble": ["pebble", chain3],
+        "peterson": ["peterson", "--procs", "2", "--switches", "0..1"],
+    }[command]
+    code, err = _validate_edited_verdict(capsys, tmp_path, argv,
+                                         lambda doc: doc["problem"].update({field: value}))
     assert code == 2
     assert message in err
 

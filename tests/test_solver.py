@@ -1,4 +1,4 @@
-"""Solver, Tseitin, and totalizer tests against brute-force oracles."""
+"""Solver, gate and totalizer tests against brute-force oracles."""
 
 import contextlib
 import heapq
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ipdr.certify
-from ipdr.cnf import Cube, FAnd, FNot, FOr, FVar, var_of
+from ipdr.cnf import Cube, VarPool, and_gate, or_gate, totalizer, var_of
 from ipdr.incremental import ipdr_constrain, ipdr_relax
 from ipdr.pebbling import encode_pebbling, load_dag
 from ipdr.peterson import encode_peterson
@@ -22,14 +22,11 @@ from ipdr.solver import (
     SatResult,
     Solver,
     SolverTimeout,
-    VarPool,
     _luby,
-    totalizer_clauses,
     model_cube,
-    tseitin_clauses,
 )
 
-from oracles import NoSimplify, cnf_satisfiable, all_assignments, clause_true, count_true, eval_formula
+from oracles import NoSimplify, cnf_satisfiable, all_assignments, clause_true, count_true
 
 
 def make_solver(nvars, clauses, seed=0):
@@ -872,7 +869,7 @@ def test_restart_checks_the_deadline():
     assert s.n_conflicts == 100
 
 
-# --- Tseitin -------------------------------------------------------------------
+# --- gates -------------------------------------------------------------------
 
 
 def add_clauses(s, clauses):
@@ -881,20 +878,22 @@ def add_clauses(s, clauses):
 
 
 def test_tseitin_passthrough():
+    # one literal is its own gate: no variable, no clause
     s = Solver()
     x = s.fresh_var()
-    assert tseitin_clauses(s, FVar(x)) == (x, [])
-    assert tseitin_clauses(s, FNot(FVar(x))) == (-x, [])
-    assert tseitin_clauses(s, FNot(FNot(FVar(x)))) == (x, [])
-    assert s.nvars == 1
+    out = []
+    assert and_gate(s, [x], out) == x
+    assert or_gate(s, [-x], out) == -x
+    assert out == [] and s.nvars == 1
 
 
 def test_tseitin_example_conjunction():
-    # root of (x1 and not x2) is satisfiable together with the defining
-    # clauses exactly when x1=1, x2=0
+    # the AND gate of x1 and not x2 is satisfiable together with its
+    # defining clauses exactly when x1=1, x2=0
     s = Solver()
     x1, x2 = s.fresh_vars(2)
-    root, clauses = tseitin_clauses(s, FAnd(FVar(x1), FNot(FVar(x2))))
+    clauses = []
+    root = and_gate(s, [x1, -x2], clauses)
     add_clauses(s, clauses)
     r = s.solve([root])
     assert r.sat and r.value(x1) and not r.value(x2)
@@ -902,21 +901,57 @@ def test_tseitin_example_conjunction():
     assert not s.solve([root, -x1]).sat
 
 
-formula_strategy = st.deferred(
+def test_gate_clause_order_and_complementary_literals():
+    # binary clauses first in literal order, then the long clause, which a
+    # complementary pair would make a tautology; an empty gate is a unit
+    pool = VarPool(2)
+    out = []
+    assert or_gate(pool, [2, -1], out) == 3
+    assert [c.lits for c in out] == [(-2, 3), (1, 3), (-1, 2, -3)]
+    out = []
+    assert and_gate(pool, [1, -1], out) == 4
+    assert [c.lits for c in out] == [(1, -4), (-1, -4)]
+    out = []
+    assert (and_gate(pool, [], out), or_gate(pool, [], out)) == (5, 6)
+    assert [c.lits for c in out] == [(5,), (-6,)]
+
+
+# a tree is a literal over variables 1..4 or (op, negated, children)
+tree_strategy = st.deferred(
     lambda: st.one_of(
-        st.integers(1, 4).flatmap(lambda v: st.sampled_from([FVar(v), FVar(-v)])),
-        st.builds(FNot, formula_strategy),
-        st.lists(formula_strategy, min_size=0, max_size=3).map(lambda cs: FAnd(*cs)),
-        st.lists(formula_strategy, min_size=0, max_size=3).map(lambda cs: FOr(*cs)),
+        st.integers(1, 4).flatmap(lambda v: st.sampled_from([v, -v])),
+        st.tuples(
+            st.sampled_from(["and", "or"]),
+            st.booleans(),
+            st.lists(tree_strategy, min_size=0, max_size=3),
+        ),
     )
 )
 
 
+def build_tree(alloc, tree, out) -> int:
+    if isinstance(tree, int):
+        return tree
+    op, negated, children = tree
+    gate = and_gate if op == "and" else or_gate
+    lit = gate(alloc, [build_tree(alloc, c, out) for c in children], out)
+    return -lit if negated else lit
+
+
+def eval_tree(tree, assignment) -> bool:
+    if isinstance(tree, int):
+        return assignment[var_of(tree)] == (tree > 0)
+    op, negated, children = tree
+    values = [eval_tree(c, assignment) for c in children]
+    return (all(values) if op == "and" else any(values)) != negated
+
+
 @settings(max_examples=60, deadline=None)
-@given(formula_strategy)
-def test_tseitin_exactly_one_extension_and_root_semantics(f):
+@given(tree_strategy)
+def test_tseitin_exactly_one_extension_and_root_semantics(tree):
     pool = VarPool(4)
-    root, clauses = tseitin_clauses(pool, f)
+    clauses = []
+    root = build_tree(pool, tree, clauses)
     base_vars = [1, 2, 3, 4]
     aux_vars = list(range(5, pool.n + 1))
     assume(len(aux_vars) <= 8)  # enumeration is 2^(4+aux)
@@ -928,7 +963,7 @@ def test_tseitin_exactly_one_extension_and_root_semantics(f):
                 extensions.append(full)
         assert len(extensions) == 1
         full = extensions[0]
-        want = eval_formula(f, asg)
+        want = eval_tree(tree, asg)
         got = full[abs(root)] == (root > 0)
         assert got == want
 
@@ -936,12 +971,18 @@ def test_tseitin_exactly_one_extension_and_root_semantics(f):
 # --- totalizer -------------------------------------------------------------------
 
 
+def at_most(outputs, bound):
+    """The assumptions imposing count <= bound: every output above it false."""
+    return [-o for o in outputs[bound:]]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_ladder_outputs_follow_counts(n):
     pool = VarPool(n)
     lits = list(range(1, n + 1))
-    counter, clauses = totalizer_clauses(pool, lits)
-    assert len(counter.outputs) == n
+    clauses = []
+    outputs = totalizer(pool, lits, clauses)
+    assert len(outputs) == n
     aux_vars = list(range(n + 1, pool.n + 1))
     for asg in all_assignments(lits):
         exts = []
@@ -954,35 +995,37 @@ def test_ladder_outputs_follow_counts(n):
         c = count_true(lits, asg)
         # each output is forced true once its count is reached
         for full in exts:
-            assert all(full[o] for o in counter.outputs[:c])
+            assert all(full[o] for o in outputs[:c])
         # the bound p holds by assumption exactly when the count is <= p
         for p in range(n + 1):
-            fits = any(not any(full[o] for o in counter.outputs[p:]) for full in exts)
+            fits = any(not any(full[o] for o in outputs[p:]) for full in exts)
             assert fits == (c <= p)
 
 
 def test_totalizer_size_is_n_log_n():
     # a sequential counter takes 276 aux variables here
     pool = VarPool(23)
-    counter, clauses = totalizer_clauses(pool, list(range(1, 24)))
+    clauses = []
+    outputs = totalizer(pool, list(range(1, 24)), clauses)
     assert pool.n - 23 == 106
     assert len(clauses) == 359
-    assert len(counter.outputs) == 23
+    assert len(outputs) == 23
 
 
 def ladder(s, lits):
-    counter, clauses = totalizer_clauses(s, lits)
+    clauses = []
+    outputs = totalizer(s, lits, clauses)
     add_clauses(s, clauses)
-    return counter
+    return outputs
 
 
 def test_ladder_bound_by_assumption():
     s = Solver()
     lits = s.fresh_vars(4)
-    counter = ladder(s, lits)
+    outputs = ladder(s, lits)
     # one encoding serves every bound in the family
     for p in range(0, 5):
-        assumptions = list(counter.at_most_assumptions(p))
+        assumptions = at_most(outputs, p)
         r = s.solve(assumptions + lits[: min(p, 4)])
         assert r.sat  # exactly p trues is fine
         if p < 4:
@@ -993,8 +1036,8 @@ def test_ladder_bound_by_assumption():
 def test_ladder_negative_literals_counted():
     s = Solver()
     x, y = s.fresh_vars(2)
-    counter = ladder(s, [x, -y])
-    r = s.solve(list(counter.at_most_assumptions(0)))
+    outputs = ladder(s, [x, -y])
+    r = s.solve(at_most(outputs, 0))
     assert r.sat and not r.value(x) and r.value(y)
 
 

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ipdr.certify import check_refines
-from ipdr.cnf import Clause, Cube
-from ipdr.solver import VarPool
+from ipdr.cnf import Clause, Cube, VarPool
 from ipdr.system import (
     Instance,
     InstanceFamily,
