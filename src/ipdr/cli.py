@@ -338,7 +338,9 @@ def cmd_validate(args) -> int:
             checks.update(
                 check_invariant(_instance_by_label(family, label), clauses)
             )
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    except KeyError as e:
+        raise UsageError(f"missing field {e}") from e
+    except (OSError, ValueError, TypeError) as e:
         raise UsageError(e) from e
     valid = all(checks.values())
     print(json.dumps({"valid": valid, "checks": checks}, indent=2))

@@ -52,13 +52,17 @@ class UsageError(Exception):
 
 
 # generalization blocks counterexamples to generalization (CTGs) nested at
-# most CTG_DEPTH deep, and at most MAX_CTGS in a row for one candidate cube.
-# A context tries a CTG only while its tries stay below CTG_CREDIT times one
-# more than its blocked CTGs: each blocked CTG earns CTG_CREDIT more tries,
-# and a context that blocks none of its first CTG_CREDIT stops trying for
-# good, across repairs too. A CTG that is not blocked costs a query and
-# changes nothing; on pebbling almost none block, while filter-lock contexts
-# block about half of theirs, so the rule keeps CTG only where it pays.
+# most CTG_DEPTH deep, and at most MAX_CTGS in a row for one candidate cube;
+# a candidate whose CTG is not blocked is joined with it (shrunk to the
+# literals they share) and queried again. Both are speculative queries, and
+# one credit covers them: a context makes one (a CTG try, or a join try,
+# the query on a joined cube) only while its tries stay below CTG_CREDIT
+# times one more than its wins (blocked CTGs and joined cubes that block).
+# Each win earns CTG_CREDIT more tries, and a context that wins none of its
+# first CTG_CREDIT stops for good, across repairs too: with no credit left,
+# a drop that fails its first query fails without joining. On pebbling
+# almost no CTG or join blocks, while filter-lock contexts win about half
+# their CTGs, so the rule keeps both only where they pay.
 CTG_DEPTH = 1
 MAX_CTGS = 5
 CTG_CREDIT = 16
@@ -113,6 +117,13 @@ class EngineCounters:
     obligations: int = 0
     ctg_tries: int = 0  # CTG blocking queries in `_ctg_down`
     ctg_blocks: int = 0  # of them, the ones that blocked
+    join_tries: int = 0  # queries on a joined cube in `_ctg_down`
+    join_wins: int = 0  # of them, the ones that blocked
+
+    def has_credit(self) -> bool:
+        """Room for one more speculative query (a CTG or a join try)."""
+        tries = self.ctg_tries + self.join_tries
+        return tries < CTG_CREDIT * (self.ctg_blocks + self.join_wins + 1)
 
 
 # --- frame solver -------------------------------------------------------------------
@@ -371,15 +382,20 @@ def generalize(ctx: PdrCtx, level: int, cube: Cube, seed: Cube | None = None, de
 
 def _ctg_down(ctx: PdrCtx, q: Cube, level: int, depth: int) -> tuple[bool, Cube]:
     """Try to establish a candidate subcube, strengthening frames against
-    counterexamples to generalization and otherwise joining with them."""
+    counterexamples to generalization and otherwise joining with them,
+    while the context has credit for speculative queries."""
     fs, frames, counters = ctx.fs, ctx.frames, ctx.counters
     ctgs = 0
+    joined = False
     while True:
         if not q.lits:
             return False, q
         if fs.sat_init(q).sat:
             return False, q
         blocked, payload = fs.rel_ind(level - 1, q)
+        if joined:
+            counters.join_tries += 1
+            counters.join_wins += blocked
         if blocked:
             sub = payload if payload.lits else q
             return True, _repair_init(ctx, sub, q)
@@ -388,7 +404,7 @@ def _ctg_down(ctx: PdrCtx, q: Cube, level: int, depth: int) -> tuple[bool, Cube]
             depth < CTG_DEPTH
             and ctgs < MAX_CTGS
             and level > 1
-            and counters.ctg_tries < CTG_CREDIT * (counters.ctg_blocks + 1)
+            and counters.has_credit()
             and not fs.sat_init(m).sat
         ):
             counters.ctg_tries += 1
@@ -402,7 +418,10 @@ def _ctg_down(ctx: PdrCtx, q: Cube, level: int, depth: int) -> tuple[bool, Cube]
                 add_blocked(ctx, cg.negate(), j)
                 ctgs += 1
                 continue
+        if not counters.has_credit():
+            return False, q
         ctgs = 0
+        joined = True
         keep = set(m.lits)
         q = Cube._canonical_tuple(tuple([l for l in q.lits if l in keep]))
 

@@ -217,6 +217,8 @@ def _visit(
         obligations_handled=c.obligations - c0.obligations,
         ctg_tries=c.ctg_tries - c0.ctg_tries,
         ctg_blocks=c.ctg_blocks - c0.ctg_blocks,
+        join_tries=c.join_tries - c0.join_tries,
+        join_wins=c.join_wins - c0.join_wins,
         sat_calls=ctx.fs.sat_calls - calls0,
         sat_time=ctx.fs.sat_time_s - time0,
         copy_attempts=attempts,

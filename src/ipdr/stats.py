@@ -29,6 +29,8 @@ COLUMNS = (
     ("obligations", "obligations_handled", int),
     ("ctg_tries", "ctg_tries", int),
     ("ctg_blocks", "ctg_blocks", int),
+    ("join_tries", "join_tries", int),
+    ("join_wins", "join_wins", int),
     ("sat_calls", "sat_calls", int),
     ("sat_time_s", "sat_time", float),
     ("copy_attempts", "copy_attempts", int),
@@ -56,6 +58,8 @@ class RunStats:
     obligations_handled: int = 0
     ctg_tries: int = 0
     ctg_blocks: int = 0
+    join_tries: int = 0
+    join_wins: int = 0
     sat_calls: int = 0
     sat_time: float = 0.0
     copy_attempts: int = 0

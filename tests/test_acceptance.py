@@ -321,8 +321,8 @@ def test_seven_wire_circuit_crosscheck_report():
     assert strategies, "no budget admitted a strategy within the probe budget"
 
 
-def test_ham7tc_constraining_sweep_down_to_12(monkeypatch):
-    # one constraining context from 23 pebbles down to 12, with no deadline;
+def test_ham7tc_constraining_sweep_down_to_10(monkeypatch):
+    # one constraining context from 23 pebbles down to 10, with no deadline;
     # a budget where the last trace replays gets that trace back
     dag = load_dag("benchmarks/ham7tc.tfc")
     visit = inc._visit
@@ -335,15 +335,15 @@ def test_ham7tc_constraining_sweep_down_to_12(monkeypatch):
 
     monkeypatch.setattr(inc, "_visit", record)
     t0 = time.perf_counter()
-    out = ipdr_constrain(encode_pebbling(dag, list(range(12, 24)), "constraining"),
+    out = ipdr_constrain(encode_pebbling(dag, list(range(10, 24)), "constraining"),
                          PdrConfig(seed=0))
     dt = time.perf_counter() - t0
-    assert [p for p, _ in verdicts] == list(range(23, 11, -1))
+    assert [p for p, _ in verdicts] == list(range(23, 9, -1))
     for p, verdict in verdicts:
         assert isinstance(verdict, Trace), f"p={p}"
         assert decode_pebbling_trace(verdict, dag).max_pebbles <= p, f"p={p}"
     calls = sum(r.sat_calls for r in out.per_instance_stats)
-    print(f"\nham7tc 23->12 constraining: {calls} SAT calls, {dt:.1f} s")
+    print(f"\nham7tc 23->10 constraining: {calls} SAT calls, {dt:.1f} s")
 
 
 # --- 7: identical runs produce identical counters ----------------------------------
@@ -352,7 +352,7 @@ def test_ham7tc_constraining_sweep_down_to_12(monkeypatch):
 def _counters(rows):
     return [
         (r.instance_label, r.verdict_kind, r.cti_count, r.obligations_handled,
-         r.ctg_tries, r.ctg_blocks, r.sat_calls, r.copy_attempts, r.copied_clauses)
+         r.ctg_tries, r.ctg_blocks, r.join_tries, r.join_wins, r.sat_calls, r.copy_attempts, r.copied_clauses)
         for r in rows
     ]
 

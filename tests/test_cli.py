@@ -521,6 +521,17 @@ def test_validate_rejects_a_mistyped_problem_field(capsys, tmp_path, chain3, com
     assert message in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.pop("problem"), "missing field 'problem'"),
+    (lambda doc: doc["problem"].pop("kind"), "missing field 'kind'"),
+    (lambda doc: doc.pop("instance"), "missing field 'instance'"),
+], ids=["problem", "kind", "instance"])
+def test_validate_names_a_missing_field(capsys, tmp_path, edit, message):
+    code, err = _validate_edited(capsys, tmp_path, RELAXING_SYS, edit)
+    assert code == 2
+    assert message in err
+
+
 def test_validate_missing_payload(capsys, tmp_path):
     p = tmp_path / "empty.json"
     p.write_text(json.dumps({"problem": {"kind": "system", "source": "x"}}))
@@ -576,7 +587,8 @@ def test_bench_determinism_across_runs(capsys, tmp_path, suite):
         run(capsys, "bench", str(suite), "--strategies", "relax",
             "--seeds", "7", "--stats", str(stats))
         csvs.append([
-            line.split(",")[:9] for line in stats.read_text().splitlines()
+            line.split(",")[:CSV_COLUMNS.index("sat_time_s")]
+            for line in stats.read_text().splitlines()
         ])
     assert csvs[0] == csvs[1]  # counter columns identical, timings excluded
 

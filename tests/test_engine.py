@@ -404,17 +404,28 @@ def _fresh_run(inst):
     return ctx.counters
 
 
+def _tries_and_wins(counters):
+    return (counters.ctg_tries + counters.join_tries,
+            counters.ctg_blocks + counters.join_wins)
+
+
 def test_a_context_whose_ctgs_never_block_stops_trying_them():
+    # CTGs and joins share one credit: with no win, the first CTG_CREDIT
+    # speculative queries of either kind are the last
     dag = load_dag(str(Path(__file__).parent.parent / "benchmarks" / "ham7tc.tfc"))
     counters = _fresh_run(encode_pebbling(dag, [23]).instances[0])
-    assert counters.ctg_blocks == 0
-    assert counters.ctg_tries == CTG_CREDIT
+    assert _tries_and_wins(counters) == (CTG_CREDIT, 0)
+    assert (counters.ctg_tries, counters.join_tries) == (11, 5)
 
 
 def test_a_context_whose_ctgs_block_keeps_trying_them():
+    # the filter lock's CTG blocks and join wins both fund the shared credit
     counters = _fresh_run(encode_peterson(3, [0]).instances[0])
+    tries, wins = _tries_and_wins(counters)
     assert counters.ctg_tries > CTG_CREDIT
-    assert counters.ctg_tries <= CTG_CREDIT * (counters.ctg_blocks + 1)
+    assert counters.join_wins > 0
+    assert counters.join_tries > CTG_CREDIT
+    assert tries <= CTG_CREDIT * (wins + 1)
 
 
 # --- retired activation literals ------------------------------------------------------

@@ -430,6 +430,13 @@ class ReferenceSolver(Solver):
     search: the same trail, decisions, watch-list order, literal positions
     and heap."""
 
+    def add_clause(self, lits):
+        # the inherited add_clause puts a variable it makes a decision
+        # variable on the heap under `_key[v]`, which only the fast solver
+        # keeps equal to (-activity[v], v)
+        self._key = [(-a, v) for v, a in enumerate(self.activity)]
+        return super().add_clause(lits)
+
     def _unwatch(self, clause):
         for lit in (clause[0], clause[1]):
             wl = self.watches[self._lit_idx(lit)]
