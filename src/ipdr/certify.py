@@ -45,7 +45,16 @@ class Frames:
     generation it retires stays live until the next reset: its literals'
     saved phases steer the first instance of the new generation, and fixing
     them at once moved the lock3 relax sweep from 4,708 to 6,058 SAT
-    calls."""
+    calls.
+
+    Each level has a change stamp, bumped whenever F_level gains a clause,
+    and `failed_pushes` remembers each push that failed as {clause: (level,
+    stamp)}: the push of the clause out of that level, asked when F_level
+    had that stamp. Clauses only ever join a frame (an erased clause is
+    implied by the clause that subsumes it), so while the stamp holds, F_level
+    and the failed query are unchanged. The memo holds for one generation
+    and one instance binding (`Skeleton.bind_instance` clears it, since a
+    new `gamma` changes the step relation)."""
 
     def __init__(self, solver: Solver):
         self.solver = solver
@@ -58,6 +67,8 @@ class Frames:
         self._retired = self.acts
         self.k = 0
         self.deltas: list[dict[Clause, None]] = [{}, {}]
+        self.stamps = [0, 0]
+        self.failed_pushes: dict[Clause, tuple[int, int]] = {}
         self.acts = []
 
     @property
@@ -68,19 +79,35 @@ class Frames:
         """Make levels up to `level` ready to hold clauses and be assumed."""
         while len(self.deltas) <= level:
             self.deltas.append({})
+            self.stamps.append(0)
         while len(self.acts) <= level:
             self.acts.append(self.solver.fresh_var())
 
     def add(self, clause: Clause, level: int) -> None:
-        """File a clause in deltas[level] and assert it behind acts[level].
-        The caller removes it from any other level. No clause reaches one
-        level of a generation twice: `engine.add_blocked` skips a clause
-        already at or above its target, `engine.propagate` only moves
-        clauses up, and `incremental.relax` places each clause at
-        increasing levels."""
+        """File a clause in deltas[level] and assert it behind acts[level],
+        moving it up from a lower delta if it sits in one, and bump the
+        stamps of the frames that gain it: F_1..F_level for a new clause,
+        only the levels above its old one for a moved clause (a push into
+        i+1 changes F_{i+1} alone). No clause reaches one level of a
+        generation twice: `engine.add_blocked` skips a clause already at or
+        above its target, `engine.propagate` only moves clauses up, and
+        `incremental.relax` places each clause at increasing levels."""
         self.ensure_level(level)
+        low = next((j for j in range(level - 1, 0, -1) if clause in self.deltas[j]), 0)
+        if low:
+            del self.deltas[low][clause]
+        for j in range(low + 1, level + 1):
+            self.stamps[j] += 1
         self.deltas[level][clause] = None
         self.solver.add_clause([-self.acts[level], *clause.lits])
+
+    def push_failed(self, clause: Clause, level: int) -> bool:
+        """Whether pushing `clause` out of `level` already failed against
+        the current F_level."""
+        return self.failed_pushes.get(clause) == (level, self.stamps[level])
+
+    def note_failed_push(self, clause: Clause, level: int) -> None:
+        self.failed_pushes[clause] = (level, self.stamps[level])
 
     def frame_clauses(self, i: int) -> list[Clause]:
         out: list[Clause] = []
@@ -126,6 +153,7 @@ class Skeleton:
 
     def bind_instance(self, inst: Instance) -> None:
         self.gamma = full_assumptions(inst)
+        self.frames.failed_pushes.clear()  # a new gamma, a new step relation
         if self.init_act is not None:
             self.solver.retire((self.init_act,))
         self.init_act = self.solver.fresh_var()

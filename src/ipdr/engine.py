@@ -7,6 +7,13 @@ deltas normally run 1..k+1 for frontier k, but levels above k+1 may hold
 preloaded clauses after a frame repair (they are dormant until the frontier
 reaches them). A clause sits in at most one delta.
 
+Propagation asks each push at most once per state of its frame: `Frames`
+stamps a level whenever its frame gains a clause and remembers the pushes
+that failed, and `propagate` skips a push that failed against the frame's
+current stamp (IC3's clause pushing, Bradley, VMCAI 2011; triggered clause
+pushing, Suda, 2013). On pebbling almost every push fails, and most of
+them would fail again against an unchanged frame.
+
 All SAT work goes through one frame solver: a single incremental context
 serves every frame, frame clauses sit behind per-level activation literals,
 and retired clauses are never retracted, they just stop being assumed. Once
@@ -119,6 +126,8 @@ class EngineCounters:
     ctg_blocks: int = 0  # of them, the ones that blocked
     join_tries: int = 0  # queries on a joined cube in `_ctg_down`
     join_wins: int = 0  # of them, the ones that blocked
+    push_tries: int = 0  # pushes `propagate` considered
+    push_skips: int = 0  # of them, the ones skipped as already failed (`Frames.push_failed`)
 
     def has_credit(self) -> bool:
         """Room for one more speculative query (a CTG or a join try)."""
@@ -449,29 +458,38 @@ def add_blocked(ctx: PdrCtx, clause: Clause, target: int) -> None:
     lvl = min(target, frames.k + 1)
     frames.ensure_level(lvl)
     # subsumption is a literal subset (`_subsumed` above the level, issubset
-    # below); the new clause's set is built once for both
+    # below); the new clause's set is built once for both. The clause itself,
+    # if it sits below, is left for `Frames.add` to move up
     lits = set(clause.lits)
     if _subsumed(frames, lits, lvl):
         return
     n = len(lits)
     for delta in frames.deltas[1 : lvl + 1]:
-        for d in [x for x in delta if n <= len(x.lits) and lits.issubset(x.lits)]:
+        for d in [x for x in delta if n <= len(x.lits) and lits.issubset(x.lits) and x != clause]:
             del delta[d]
     frames.add(clause, lvl)
 
 
 def propagate(ctx: PdrCtx) -> int | None:
     """Push clauses outward: a clause of delta_i moves to delta_{i+1} when it
-    holds after every step from F_i. Returns the lowest level at or below the
-    frontier whose delta emptied, i.e. a level whose frame is closed under the
-    step relation, or None."""
-    frames, fs = ctx.frames, ctx.fs
+    holds after every step from F_i. A push that failed is not asked again
+    while F_i keeps the stamp it failed against (`Frames.push_failed`): the
+    frame, the step relation and the query are the same, so the answer is
+    too. Returns the lowest level at or below the frontier whose delta
+    emptied, i.e. a level whose frame is closed under the step relation, or
+    None."""
+    frames, fs, counters = ctx.frames, ctx.fs, ctx.counters
     for i in range(1, frames.k):
         for c in list(frames.deltas[i]):
             if c not in frames.deltas[i]:
                 continue  # erased by subsumption while moving a predecessor
-            if fs.step_holds(i, c):
+            counters.push_tries += 1
+            if frames.push_failed(c, i):
+                counters.push_skips += 1
+            elif fs.step_holds(i, c):
                 add_blocked(ctx, c, i + 1)  # moves c up unless a clause above subsumes it
+            else:
+                frames.note_failed_push(c, i)
     for i in range(1, frames.k + 1):
         if not frames.deltas[i]:
             return i
@@ -509,6 +527,8 @@ def validate_ctx(ctx: PdrCtx, frontier_clear: bool = True) -> list[str]:
     checks: the level lies in [0, k] (arithmetic); the parent chain ends at
     a property violation (walked syntactically, the root checked by one SAT
     query); and the cube is excluded from its own frame under the property.
+    Memo check: every failed push that `propagate` would still skip
+    (`Frames.push_failed`) still fails.
     Pass frontier_clear=False for a context captured mid-run, where an
     unhandled frontier violation is the normal resumption entry point
     rather than a defect.
@@ -546,4 +566,7 @@ def validate_ctx(ctx: PdrCtx, frontier_clear: bool = True) -> list[str]:
         for c in frames.frame_clauses(i + 1):
             if not chk.step_holds(i, c, with_prop=False):
                 out.append(f"consecution: a step from frame {i} leaves a frame {i + 1} clause")
+    for c, (i, _) in frames.failed_pushes.items():
+        if frames.push_failed(c, i) and chk.step_holds(i, c):
+            out.append(f"push-memo: a push out of level {i} recorded as failed holds")
     return out

@@ -128,9 +128,7 @@ def relax(ctx: PdrCtx, nxt: Instance) -> tuple[int, int]:
         batch, live = [p for p in live if p[1] >= t], []
         for c, cap in batch:
             if fs.step_holds(t - 1, c, with_prop=False):
-                if t > 2:
-                    del frames.deltas[t - 1][c]  # it passed target t-1 and sits there
-                frames.add(c, t)
+                frames.add(c, t)  # moves it up from target t-1 if it passed that
                 live.append((c, cap))
     # the reset left the frames empty, so they hold exactly the copies
     return sum(map(len, old[1:])), sum(map(len, frames.deltas))
@@ -219,6 +217,8 @@ def _visit(
         ctg_blocks=c.ctg_blocks - c0.ctg_blocks,
         join_tries=c.join_tries - c0.join_tries,
         join_wins=c.join_wins - c0.join_wins,
+        push_tries=c.push_tries - c0.push_tries,
+        push_skips=c.push_skips - c0.push_skips,
         sat_calls=ctx.fs.sat_calls - calls0,
         sat_time=ctx.fs.sat_time_s - time0,
         copy_attempts=attempts,

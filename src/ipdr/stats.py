@@ -31,6 +31,8 @@ COLUMNS = (
     ("ctg_blocks", "ctg_blocks", int),
     ("join_tries", "join_tries", int),
     ("join_wins", "join_wins", int),
+    ("push_tries", "push_tries", int),
+    ("push_skips", "push_skips", int),
     ("sat_calls", "sat_calls", int),
     ("sat_time_s", "sat_time", float),
     ("copy_attempts", "copy_attempts", int),
@@ -60,6 +62,8 @@ class RunStats:
     ctg_blocks: int = 0
     join_tries: int = 0
     join_wins: int = 0
+    push_tries: int = 0
+    push_skips: int = 0
     sat_calls: int = 0
     sat_time: float = 0.0
     copy_attempts: int = 0

@@ -352,7 +352,8 @@ def test_ham7tc_constraining_sweep_down_to_10(monkeypatch):
 def _counters(rows):
     return [
         (r.instance_label, r.verdict_kind, r.cti_count, r.obligations_handled,
-         r.ctg_tries, r.ctg_blocks, r.join_tries, r.join_wins, r.sat_calls, r.copy_attempts, r.copied_clauses)
+         r.ctg_tries, r.ctg_blocks, r.join_tries, r.join_wins, r.push_tries, r.push_skips, r.sat_calls,
+         r.copy_attempts, r.copied_clauses)
         for r in rows
     ]
 

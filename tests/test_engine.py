@@ -26,8 +26,10 @@ from ipdr.engine import (
     PdrCtx,
     SingleContextSolver,
     Trace,
+    add_blocked,
     init_cube,
     pdr_main,
+    propagate,
     validate_ctx,
 )
 from ipdr.incremental import ipdr_binary, ipdr_constrain, ipdr_relax
@@ -227,6 +229,89 @@ def test_debug_mode_raises_on_corrupted_resume():
     ctx.frames.add(bogus, 1)
     with pytest.raises(InvariantViolation):
         pdr_main(ctx)
+
+
+def _chain3_ctx():
+    """A context at frontier 2 on the chain 000 -> 001 -> 010 -> 011, with
+    011 bad: c = (-x2 | x3) at level 1, whose push fails (001 -> 010), and
+    not-011 at level 2. Also returns d = (-x1), which holds everywhere."""
+    edges = [("000", "001"), ("001", "010"), ("010", "011")]
+    inst = build_explicit(["x1", "x2", "x3"], ["000"], edges, ["011"])
+    x1, x2, x3 = inst.system.state_vars
+    ctx = PdrCtx(inst, PdrConfig())
+    ctx.frames.k = 2
+    ctx.frames.ensure_level(3)
+    c = Clause([-x2, x3])
+    add_blocked(ctx, c, 1)
+    add_blocked(ctx, Clause([x1, -x2, -x3]), 2)
+    return ctx, c, Clause([-x1])
+
+
+def _asked_pushes(monkeypatch):
+    """The (level, clause) of every `step_holds` query from now on."""
+    asked = []
+    step_holds = SingleContextSolver.step_holds
+
+    def spy(self, level, clause, with_prop=True):
+        asked.append((level, clause))
+        return step_holds(self, level, clause, with_prop)
+
+    monkeypatch.setattr(SingleContextSolver, "step_holds", spy)
+    return asked
+
+
+def test_a_failed_push_is_not_asked_again_against_the_same_frame(monkeypatch):
+    ctx, c, _ = _chain3_ctx()
+    asked = _asked_pushes(monkeypatch)
+    propagate(ctx)
+    propagate(ctx)
+    assert asked == [(1, c)]
+    assert (ctx.counters.push_tries, ctx.counters.push_skips) == (2, 1)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_a_new_clause_at_or_above_the_level_asks_a_failed_push_again(monkeypatch, level):
+    ctx, c, d = _chain3_ctx()
+    asked = _asked_pushes(monkeypatch)
+    propagate(ctx)
+    add_blocked(ctx, d, level)
+    propagate(ctx)
+    assert asked.count((1, c)) == 2
+
+
+def test_a_push_into_the_next_level_keeps_the_failed_push_below(monkeypatch):
+    ctx, c, d = _chain3_ctx()
+    add_blocked(ctx, d, 1)
+    asked = _asked_pushes(monkeypatch)
+    propagate(ctx)  # c fails, then d moves up to level 2
+    assert d in ctx.frames.deltas[2]
+    propagate(ctx)
+    assert asked == [(1, c), (1, d)]
+
+
+@pytest.mark.parametrize("clear", ["rebind", "reset"])
+def test_rebinding_or_resetting_forgets_the_failed_pushes(monkeypatch, clear):
+    ctx, c, _ = _chain3_ctx()
+    propagate(ctx)
+    assert ctx.frames.push_failed(c, 1)
+    asked = _asked_pushes(monkeypatch)
+    if clear == "rebind":
+        ctx.rebind(ctx.instance)
+        assert not ctx.frames.failed_pushes
+        propagate(ctx)
+        assert asked == [(1, c)]
+    else:
+        ctx.frames.reset()
+        assert not ctx.frames.failed_pushes
+
+
+def test_validator_catches_a_stale_failed_push():
+    ctx, _, _ = _chain3_ctx()
+    propagate(ctx)
+    assert validate_ctx(ctx) == []
+    not_011 = next(iter(ctx.frames.deltas[2]))
+    ctx.frames.note_failed_push(not_011, 1)  # its push out of level 1 holds
+    assert any(v.startswith("push-memo") for v in validate_ctx(ctx))
 
 
 def test_determinism_same_seed_same_counters():

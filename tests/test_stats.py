@@ -22,6 +22,8 @@ def sample_row(**kw):
         ctg_blocks=2,
         join_tries=9,
         join_wins=1,
+        push_tries=14,
+        push_skips=5,
         sat_calls=120,
         sat_time=0.0123456789,
         copy_attempts=6,
@@ -41,7 +43,7 @@ def test_csv_header_is_stable():
     header = text.splitlines()[0]
     assert header == (
         "strategy,problem,instance,verdict,cti_count,obligations,ctg_tries,ctg_blocks,"
-        "join_tries,join_wins,sat_calls,sat_time_s,copy_attempts,copied,copy_rate,incr_prep_s,total_s,seed"
+        "join_tries,join_wins,push_tries,push_skips,sat_calls,sat_time_s,copy_attempts,copied,copy_rate,incr_prep_s,total_s,seed"
     )
     assert tuple(header.split(",")) == CSV_COLUMNS
 
@@ -49,9 +51,9 @@ def test_csv_header_is_stable():
 def test_csv_floats_have_six_decimals():
     line = emit_csv([sample_row()]).splitlines()[1]
     cells = line.split(",")
-    assert cells[11] == "0.012346"  # sat_time_s, rounded at construction
-    assert cells[14] == "0.500000"  # copy_rate 3/6
-    assert cells[16] == "0.500000"  # total_s
+    assert cells[13] == "0.012346"  # sat_time_s, rounded at construction
+    assert cells[16] == "0.500000"  # copy_rate 3/6
+    assert cells[18] == "0.500000"  # total_s
 
 
 def test_copy_rate_guards_zero_attempts():
