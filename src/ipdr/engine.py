@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from .certify import Frames, Skeleton, load_frames, replay
 from .cnf import Clause, Cube
 from .solver import SatResult, SolverTimeout, model_cube
+from .stats import EngineCounters
 from .system import Instance, State, TransitionSystem
 
 
@@ -73,6 +74,12 @@ class UsageError(Exception):
 CTG_DEPTH = 1
 MAX_CTGS = 5
 CTG_CREDIT = 16
+
+
+def has_credit(counters: EngineCounters) -> bool:
+    """Room for one more speculative query (a CTG or a join try)."""
+    tries = counters.ctg_tries + counters.join_tries
+    return tries < CTG_CREDIT * (counters.ctg_blocks + counters.join_wins + 1)
 
 
 @dataclass
@@ -116,23 +123,6 @@ class Obligation:
     order: int
     cube: Cube = field(compare=False)
     parent: "Obligation | None" = field(compare=False, default=None)
-
-
-@dataclass
-class EngineCounters:
-    cti: int = 0
-    obligations: int = 0
-    ctg_tries: int = 0  # CTG blocking queries in `_ctg_down`
-    ctg_blocks: int = 0  # of them, the ones that blocked
-    join_tries: int = 0  # queries on a joined cube in `_ctg_down`
-    join_wins: int = 0  # of them, the ones that blocked
-    push_tries: int = 0  # pushes `propagate` considered
-    push_skips: int = 0  # of them, the ones skipped as already failed (`Frames.push_failed`)
-
-    def has_credit(self) -> bool:
-        """Room for one more speculative query (a CTG or a join try)."""
-        tries = self.ctg_tries + self.join_tries
-        return tries < CTG_CREDIT * (self.ctg_blocks + self.join_wins + 1)
 
 
 # --- frame solver -------------------------------------------------------------------
@@ -225,14 +215,6 @@ class SingleContextSolver(Skeleton):
         kept = tuple([l for l in lits if primed[l] in core])
         return True, Cube._canonical_tuple(kept) if kept else cube
 
-    @property
-    def sat_calls(self) -> int:
-        return self.solver.n_solves
-
-    @property
-    def sat_time_s(self) -> float:
-        return self.solver.solve_time_s
-
 
 # --- engine state -------------------------------------------------------------------
 
@@ -301,7 +283,7 @@ def pdr_main(ctx: PdrCtx) -> Verdict:
             return trace
         s = fs.bad_cube_at(frames.k)
         if s is not None:
-            ctx.counters.cti += 1
+            ctx.counters.cti_count += 1
             ctx.push(frames.k, s, None)
             continue
         inv_level = propagate(ctx)
@@ -325,7 +307,7 @@ def _process_queue(ctx: PdrCtx) -> Trace | None:
     while ctx.queue:
         _check_deadline(fs)
         ob = heapq.heappop(ctx.queue)
-        ctx.counters.obligations += 1
+        ctx.counters.obligations_handled += 1
         s, lvl = ob.cube, ob.level
         if _subsumed(frames, {-l for l in s.lits}, lvl + 1):
             if lvl + 1 <= frames.k:
@@ -413,7 +395,7 @@ def _ctg_down(ctx: PdrCtx, q: Cube, level: int, depth: int) -> tuple[bool, Cube]
             depth < CTG_DEPTH
             and ctgs < MAX_CTGS
             and level > 1
-            and counters.has_credit()
+            and has_credit(counters)
             and not fs.sat_init(m).sat
         ):
             counters.ctg_tries += 1
@@ -427,7 +409,7 @@ def _ctg_down(ctx: PdrCtx, q: Cube, level: int, depth: int) -> tuple[bool, Cube]
                 add_blocked(ctx, cg.negate(), j)
                 ctgs += 1
                 continue
-        if not counters.has_credit():
+        if not has_credit(counters):
             return False, q
         ctgs = 0
         joined = True

@@ -22,7 +22,7 @@ globals, so a wrapper set on the module sees every call.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .certify import check_trace
 from .engine import (
@@ -186,8 +186,8 @@ def _visit(
         ctx = pdr_init(inst, cfg)
     if cfg.timeout_s is not None:
         ctx.fs.deadline = t0 + cfg.timeout_s
-    c = ctx.counters
-    c0, calls0, time0 = replace(c), ctx.fs.sat_calls, ctx.fs.sat_time_s
+    c, solver = ctx.counters, ctx.fs.solver
+    c0, calls0, time0 = replace(c), solver.n_solves, solver.solve_time_s
     prep = 0.0
     if not fresh:
         relaxing = strategy != "constrain"
@@ -209,18 +209,11 @@ def _visit(
     if verdict is None:
         verdict, kept = pdr_main(ctx), ctx
     row = RunStats(
+        **{f.name: getattr(c, f.name) - getattr(c0, f.name) for f in fields(c)},
         instance_label=inst.label,
         verdict_kind="invariant" if isinstance(verdict, Invariant) else "trace",
-        cti_count=c.cti - c0.cti,
-        obligations_handled=c.obligations - c0.obligations,
-        ctg_tries=c.ctg_tries - c0.ctg_tries,
-        ctg_blocks=c.ctg_blocks - c0.ctg_blocks,
-        join_tries=c.join_tries - c0.join_tries,
-        join_wins=c.join_wins - c0.join_wins,
-        push_tries=c.push_tries - c0.push_tries,
-        push_skips=c.push_skips - c0.push_skips,
-        sat_calls=ctx.fs.sat_calls - calls0,
-        sat_time=ctx.fs.sat_time_s - time0,
+        sat_calls=solver.n_solves - calls0,
+        sat_time=solver.solve_time_s - time0,
         copy_attempts=attempts,
         copied_clauses=copied,
         incr_prep_time=prep,

@@ -53,7 +53,7 @@ class Dag:
         for o in self.outputs:
             if o not in declared:
                 raise ValueError(f"output {o} is not a declared node")
-        _, cyclic = _topo_order(self.nodes, self.edges)
+        cyclic = _stuck_node(self.nodes, self.edges)
         if cyclic is not None:
             raise ValueError(f"dependency cycle through node {cyclic}")
 
@@ -61,23 +61,20 @@ class Dag:
         return tuple(u for u, w in self.edges if w == v)
 
 
-def _topo_order(nodes, edges):
-    """Kahn's algorithm preserving declaration order; returns (order, None)
-    or (partial, some node on a cycle)."""
+def _stuck_node(nodes, edges):
+    """The first declared node that Kahn's algorithm cannot order (one on
+    or behind a cycle), or None for an acyclic graph."""
     indeg = {v: 0 for v in nodes}
     for _, v in edges:
         indeg[v] += 1
-    order = [v for v in nodes if indeg[v] == 0]
-    for v in order:
+    ordered = [v for v in nodes if indeg[v] == 0]
+    for v in ordered:
         for a, b in edges:
             if a == v:
                 indeg[b] -= 1
                 if indeg[b] == 0:
-                    order.append(b)
-    if len(order) != len(nodes):
-        stuck = next(v for v in nodes if v not in set(order))
-        return order, stuck
-    return order, None
+                    ordered.append(b)
+    return next((v for v in nodes if indeg[v] > 0), None)
 
 
 def parse_dag(text: str) -> Dag:

@@ -7,8 +7,9 @@ values compare equal) and are excluded from determinism comparisons.
 
 `COLUMNS` is the one schema: the CSV header, the metric columns the
 benchmark harness aggregates, the record form, the parser and the float
-format all derive from it. A new column is one row there plus its
-`RunStats` field.
+format all derive from it. The engine's counters are declared once, as
+`EngineCounters` fields, which `RunStats` extends: a new counter is one
+field there, its increment in the engine and one row of `COLUMNS`.
 """
 
 from __future__ import annotations
@@ -50,20 +51,27 @@ CSV_COLUMNS = tuple(col for col, _, _ in COLUMNS)
 METRIC_COLUMNS = tuple(col for col, attr, kind in COLUMNS if kind is not str and attr != "seed")
 
 
+@dataclass(kw_only=True)
+class EngineCounters:
+    """Work counted by one engine context, cumulative over its life; a
+    stats row holds the difference across one instance."""
+
+    cti_count: int = 0  # bad states found at the frontier
+    obligations_handled: int = 0  # proof obligations popped from the queue
+    ctg_tries: int = 0  # CTG blocking queries in `_ctg_down`
+    ctg_blocks: int = 0  # of them, the ones that blocked
+    join_tries: int = 0  # queries on a joined cube in `_ctg_down`
+    join_wins: int = 0  # of them, the ones that blocked
+    push_tries: int = 0  # pushes `propagate` considered
+    push_skips: int = 0  # of them, the ones skipped as already failed (`Frames.push_failed`)
+
+
 @dataclass
-class RunStats:
+class RunStats(EngineCounters):
     """One engine run on one instance of a family."""
 
     instance_label: str
     verdict_kind: str  # "invariant" | "trace"
-    cti_count: int = 0
-    obligations_handled: int = 0
-    ctg_tries: int = 0
-    ctg_blocks: int = 0
-    join_tries: int = 0
-    join_wins: int = 0
-    push_tries: int = 0
-    push_skips: int = 0
     sat_calls: int = 0
     sat_time: float = 0.0
     copy_attempts: int = 0

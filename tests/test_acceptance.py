@@ -5,6 +5,7 @@ published circuit numbers is informative and never gates."""
 import importlib.util
 import random
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from ipdr.certify import check_invariant, load_frames
@@ -26,6 +27,7 @@ from ipdr.incremental import (
 )
 from ipdr.pebbling import Dag, decode_pebbling_trace, encode_pebbling, load_dag
 from ipdr.peterson import encode_peterson
+from ipdr.stats import EngineCounters
 from ipdr.system import build_explicit_family
 
 from oracles import build_explicit, holds_invariant_explicit, pebbling_min_budget, peterson_safe
@@ -349,13 +351,11 @@ def test_ham7tc_constraining_sweep_down_to_10(monkeypatch):
 # --- 7: identical runs produce identical counters ----------------------------------
 
 
+COUNTERS = (*(f.name for f in fields(EngineCounters)), "sat_calls", "copy_attempts", "copied_clauses")
+
+
 def _counters(rows):
-    return [
-        (r.instance_label, r.verdict_kind, r.cti_count, r.obligations_handled,
-         r.ctg_tries, r.ctg_blocks, r.join_tries, r.join_wins, r.push_tries, r.push_skips, r.sat_calls,
-         r.copy_attempts, r.copied_clauses)
-        for r in rows
-    ]
+    return [(r.instance_label, r.verdict_kind, *(getattr(r, a) for a in COUNTERS)) for r in rows]
 
 
 def test_determinism_of_verdicts_and_counters():

@@ -325,9 +325,8 @@ def test_determinism_same_seed_same_counters():
             (
                 type(v).__name__,
                 [s.bits for s in v.states] if isinstance(v, Trace) else v.clauses,
-                ctx.counters.cti,
-                ctx.counters.obligations,
-                ctx.fs.sat_calls,
+                ctx.counters,
+                ctx.fs.solver.n_solves,
             )
         )
     assert runs[0] == runs[1]

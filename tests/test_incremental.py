@@ -1,6 +1,6 @@
 """Incremental drivers against the naive baseline and the explicit oracle."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -19,6 +19,7 @@ from ipdr.engine import (
     validate_ctx,
 )
 from ipdr.incremental import (
+    _visit,
     constrain,
     ipdr_binary,
     ipdr_constrain,
@@ -30,6 +31,7 @@ from ipdr.incremental import (
 from ipdr.pebbling import encode_pebbling, load_dag
 from ipdr.peterson import encode_peterson
 from ipdr.solver import Solver
+from ipdr.stats import EngineCounters
 from ipdr.system import (
     Instance,
     InstanceFamily,
@@ -572,10 +574,12 @@ def test_binary_single_instance_family():
 # --- determinism ------------------------------------------------------------------
 
 
+COUNTERS = (*(f.name for f in fields(EngineCounters)), "sat_calls", "copy_attempts", "copied_clauses")
+
+
 def counter_columns(outcome):
     return [
-        (r.instance_label, r.verdict_kind, r.cti_count, r.obligations_handled,
-         r.sat_calls, r.copy_attempts, r.copied_clauses)
+        (r.instance_label, r.verdict_kind, *(getattr(r, a) for a in COUNTERS))
         for r in outcome.per_instance_stats
     ]
 
@@ -590,6 +594,22 @@ def test_drivers_are_deterministic():
     a = ipdr_constrain(cfam, PdrConfig(seed=3))
     b = ipdr_constrain(cfam, PdrConfig(seed=3))
     assert counter_columns(a) == counter_columns(b)
+
+
+def test_a_reused_contexts_rows_add_up_to_its_counters():
+    # each row is the difference of the context's counters across one
+    # visit, so the rows of one reused context sum to its totals
+    diamond = load_dag(str(Path(__file__).parent.parent / "benchmarks" / "diamond.dag"))
+    for strategy, fam in (("relax", encode_peterson(2, [0, 1, 2])),
+                          ("constrain", encode_pebbling(diamond, [1, 2, 3, 4], "constraining"))):
+        ctx, rows = None, []
+        for inst in fam.instances:
+            ctx, _, row = _visit(ctx, inst, PdrConfig(), strategy)
+            rows.append(row)
+        for f in fields(EngineCounters):
+            assert sum(getattr(r, f.name) for r in rows) == getattr(ctx.counters, f.name), f.name
+        assert sum(r.sat_calls for r in rows) == ctx.fs.solver.n_solves
+        assert len(rows) > 1 and sum(r.push_tries for r in rows) > 0
 
 
 DRIVERS = {"relax": ipdr_relax, "constrain": ipdr_constrain,

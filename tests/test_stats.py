@@ -51,9 +51,10 @@ def test_csv_header_is_stable():
 def test_csv_floats_have_six_decimals():
     line = emit_csv([sample_row()]).splitlines()[1]
     cells = line.split(",")
-    assert cells[13] == "0.012346"  # sat_time_s, rounded at construction
-    assert cells[16] == "0.500000"  # copy_rate 3/6
-    assert cells[18] == "0.500000"  # total_s
+    cell = lambda col: cells[CSV_COLUMNS.index(col)]
+    assert cell("sat_time_s") == "0.012346"  # rounded at construction
+    assert cell("copy_rate") == "0.500000"  # 3/6
+    assert cell("total_s") == "0.500000"
 
 
 def test_copy_rate_guards_zero_attempts():
