@@ -11,8 +11,9 @@ meant to keep the search ("same answers, cheaper") must leave the digest,
 the solves, the conflicts and the decisions as they are; the propagations
 may fall when the change removes work that decides nothing. One line per sweep, in run
 order, comes first: its name, solves, conflicts, its CTG blocks over CTG
-tries, its join wins over join tries and its skipped pushes over the
-pushes propagation considered (summed from the sweep's stats rows) and a
+tries, its join wins over join tries, its literal drop wins over drop
+tries and its skipped pushes over the pushes propagation considered
+(summed from the sweep's stats rows) and a
 SHA-1 over that sweep's query answers alone, so a change meant
 to move one driver's search can show that the other sweeps kept theirs.
 The totals follow.
@@ -152,10 +153,11 @@ def main(argv=None) -> int:
             rows = sweep.run(cfg).per_instance_stats
             ctg = f"{sum(r.ctg_blocks for r in rows)}/{sum(r.ctg_tries for r in rows)}"
             join = f"{sum(r.join_wins for r in rows)}/{sum(r.join_tries for r in rows)}"
+            drop = f"{sum(r.drop_wins for r in rows)}/{sum(r.drop_tries for r in rows)}"
             push = f"{sum(r.push_skips for r in rows)}/{sum(r.push_tries for r in rows)}"
             print(f"sweep        {sweep.name:<20} solves {digest.solves - solves:>6}  "
                   f"conflicts {digest.conflicts - conflicts:>5}  "
-                  f"ctg {ctg:>9}  join {join:>9}  push {push:>9} "
+                  f"ctg {ctg:>9}  join {join:>9}  drop {drop:>9}  push {push:>9} "
                   f"{digest.sweep_sha.hexdigest()}")
     finally:
         digest.uninstall()

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .certify import Frames, Skeleton, load_frames, replay
 from .cnf import Clause, Cube
@@ -71,15 +71,35 @@ class UsageError(Exception):
 # a drop that fails its first query fails without joining. On pebbling
 # almost no CTG or join blocks, while filter-lock contexts win about half
 # their CTGs, so the rule keeps both only where they pay.
+#
+# The literal drops of `generalize` run under the same rule with a ledger
+# of their own, kept per instance binding: a context tries a drop only
+# while the drops it tried since its last binding stay below CTG_CREDIT
+# times one more than the drops that won (kept a shorter cube). Without
+# credit `generalize` returns the cube it has, the repaired blocking core,
+# which is already a valid lemma. Drop wins grow as a pebbling budget
+# tightens (5% of ham7tc's drops at 23 pebbles, about 30% at 10 to 13),
+# so a ledger over the context's whole life, spent at the loose budgets,
+# would starve the tight ones; each binding starts it afresh.
 CTG_DEPTH = 1
 MAX_CTGS = 5
 CTG_CREDIT = 16
 
 
+def _credit_left(tries: int, wins: int) -> bool:
+    return tries < CTG_CREDIT * (wins + 1)
+
+
 def has_credit(counters: EngineCounters) -> bool:
     """Room for one more speculative query (a CTG or a join try)."""
-    tries = counters.ctg_tries + counters.join_tries
-    return tries < CTG_CREDIT * (counters.ctg_blocks + counters.join_wins + 1)
+    return _credit_left(counters.ctg_tries + counters.join_tries,
+                        counters.ctg_blocks + counters.join_wins)
+
+
+def has_drop_credit(ctx: PdrCtx) -> bool:
+    """Room for one more literal drop under the context's instance binding."""
+    c, b = ctx.counters, ctx.bound_counters
+    return _credit_left(c.drop_tries - b.drop_tries, c.drop_wins - b.drop_wins)
 
 
 @dataclass
@@ -233,6 +253,7 @@ class PdrCtx:
         self.queue: list[Obligation] = []
         self._order = 0
         self.counters = EngineCounters()
+        self.bound_counters = EngineCounters()  # `counters` at the last binding
 
     def push(self, level: int, cube: Cube, parent: Obligation | None) -> None:
         self._order += 1
@@ -243,6 +264,7 @@ class PdrCtx:
             raise ValueError("rebinding requires the shared family system")
         self.instance = instance
         self.fs.bind_instance(instance)
+        self.bound_counters = replace(self.counters)
 
 
 # --- main loop ----------------------------------------------------------------------
@@ -356,17 +378,23 @@ def _repair_init(ctx: PdrCtx, sub: Cube, full: Cube) -> Cube:
 
 def generalize(ctx: PdrCtx, level: int, cube: Cube, seed: Cube | None = None, depth: int = 0) -> Cube:
     """Shrink a blocked cube to a strong subcube that is still excluded by
-    the initial states and still inductive relative to F_{level-1}."""
+    the initial states and still inductive relative to F_{level-1}, while
+    the context has credit for literal drops (`has_drop_credit`)."""
     q = cube
     if seed is not None and len(seed.lits) < len(cube.lits):
         q = _repair_init(ctx, seed, cube)
+    counters = ctx.counters
     for lit in cube.lits:
         current = set(q.lits)
         if lit not in current or len(q.lits) <= 1:
             continue
+        if not has_drop_credit(ctx):
+            break
+        counters.drop_tries += 1
         cand = Cube._canonical_tuple(tuple([l for l in q.lits if l != lit]))
         ok, shrunk = _ctg_down(ctx, cand, level, depth)
         if ok:
+            counters.drop_wins += 1
             q = shrunk
     return q
 

@@ -12,9 +12,10 @@ relaxes the next probe up from it.
 
 All four drivers share one per-instance step, `_visit`: replay the
 witness it is given (the constraining sweep's last trace, or the trace at
-the binary search's upper bound) and skip the instance where it still
-holds; otherwise start a fresh engine or repair the given context, check
-it when `debug_invariants` is on, run PDR and record the stats row. It
+the binary search's upper bound) on the one skeleton its driver keeps for
+replays, and skip the instance where it still holds; otherwise start a
+fresh engine or repair the given context, check it when
+`debug_invariants` is on, run PDR and record the stats row. It
 calls the replay, engine and repair entry points through this module's
 globals, so a wrapper set on the module sees every call.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields, replace
 
-from .certify import check_trace
+from .certify import Skeleton, replay
 from .engine import (
     Invariant,
     InvariantViolation,
@@ -134,12 +135,17 @@ def relax(ctx: PdrCtx, nxt: Instance) -> tuple[int, int]:
     return sum(map(len, old[1:])), sum(map(len, frames.deltas))
 
 
-def trace_valid_in(trace: Trace, inst: Instance) -> bool:
-    """Replay a counterexample against another instance on a fresh solver:
-    the head must be an initial state, every consecutive pair one step, and
-    the tail a property violation. A length-0 trace is valid exactly when
-    its single state is initial and violates the property."""
-    return all(check_trace(inst, trace.states).values())
+def trace_valid_in(trace: Trace, inst: Instance, replayer: Skeleton | None = None) -> bool:
+    """Replay a counterexample against another instance: the head must be
+    an initial state, every consecutive pair one step, and the tail a
+    property violation. A length-0 trace is valid exactly when its single
+    state is initial and violates the property. The replay runs on
+    `replayer`, a skeleton of the family's system that a driver keeps for
+    all its replays and that is rebound to `inst` here, or on a fresh
+    solver when there is none."""
+    replayer = replayer or Skeleton(inst.system)
+    replayer.bind_instance(inst)
+    return all(replay(replayer, [inst.system.state_cube(st) for st in trace.states]).values())
 
 
 # --- the per-instance step -------------------------------------------------------
@@ -151,24 +157,25 @@ def _visit(
     cfg: PdrConfig,
     strategy: str,
     witness: Trace | None = None,
+    replayer: Skeleton | None = None,
 ) -> tuple[PdrCtx | None, Verdict, RunStats]:
     """Run one instance and return (context, verdict, stats row).
 
-    A `witness` from a more relaxed instance is replayed first: where it
-    stays valid it is the verdict, the context comes back untouched, and
-    the row has zeroed engine counters with the replay cost as its
-    preparation time. Otherwise, with no context a fresh engine is started;
-    with one, the context is repaired for `inst` by `constrain` when
-    `strategy` is "constrain" and by `relax` otherwise ("relax" or
-    "binary"). A relaxed instance is first rebound and its initial states
-    checked against the property; a violation is returned as a length-0
-    trace with no context, since the stale frames were never repaired and
-    must not be reused. The row counts the engine work from before the
-    repair (after a fresh start) and the preparation time from the start
-    of the call. The instance's budget `timeout_s` also runs from there, so
-    the replay, the repair and the run share it."""
+    A `witness` from a more relaxed instance is replayed first, on the
+    driver's `replayer` (see `trace_valid_in`): where it stays valid it is
+    the verdict, the context comes back untouched, and the row has zeroed
+    engine counters with the replay cost as its preparation time. Otherwise,
+    with no context a fresh engine is started; with one, the context is
+    repaired for `inst` by `constrain` when `strategy` is "constrain" and by
+    `relax` otherwise ("relax" or "binary"). A relaxed instance is first
+    rebound and its initial states checked against the property; a violation
+    is returned as a length-0 trace with no context, since the stale frames
+    were never repaired and must not be reused. The row counts the engine
+    work from before the repair (after a fresh start) and the preparation
+    time from the start of the call. The instance's budget `timeout_s` also
+    runs from there, so the replay, the repair and the run share it."""
     t0 = time.perf_counter()
-    if witness is not None and trace_valid_in(witness, inst):
+    if witness is not None and trace_valid_in(witness, inst, replayer):
         dt = time.perf_counter() - t0
         row = RunStats(
             instance_label=inst.label,
@@ -232,15 +239,19 @@ def _sweep(family: InstanceFamily, cfg: PdrConfig, strategy: str) -> IpdrOutcome
     ("constrain" or "relax"; "naive" starts a fresh engine per instance),
     and stop at the first invariant of a constraining family or the first
     trace of a relaxing one. A constraining sweep hands its last trace to
-    `_visit`, which skips every later instance where it still replays."""
+    `_visit`, which skips every later instance where it still replays; all
+    its replays share one skeleton, loaded at the first."""
     stop = Invariant if family.direction == "constraining" else Trace
     rows: list[RunStats] = []
     ctx: PdrCtx | None = None
     verdict: Verdict | None = None
     last_trace: Trace | None = None
+    replayer: Skeleton | None = None
     for inst in family.instances:
         witness = last_trace if strategy == "constrain" else None
-        ctx, verdict, row = _visit(ctx, inst, cfg, strategy, witness)
+        if witness is not None and replayer is None:
+            replayer = Skeleton(family.system)
+        ctx, verdict, row = _visit(ctx, inst, cfg, strategy, witness, replayer)
         rows.append(row)
         if strategy == "naive":
             ctx = None  # drop the naive engine before the next one starts
@@ -289,10 +300,11 @@ def ipdr_binary(family: InstanceFamily, config: PdrConfig | None = None) -> Opti
     ceil(log2(n + 1)) probes and reports the top instance's invariant.
     Each probe first replays the trace of the current upper bound, which
     comes from a more relaxed instance; where it replays, the probe is a
-    trace with no engine work. Only the context of the most recent
-    invariant probe is cached, and it always sits at the current lower
-    bound, so a probe relaxes up from it when there is one and starts a
-    fresh engine otherwise. A trace probe's context is dropped:
+    trace with no engine work; all replays share one skeleton, loaded at
+    the first. Only the context of the most recent invariant probe is
+    cached, and it always sits at the current lower bound, so a probe
+    relaxes up from it when there is one and starts a fresh engine
+    otherwise. A trace probe's context is dropped:
     constraining down from a budget where the property fails costs more
     than it saves. At most one cached engine state is alive."""
     cfg = config or PdrConfig()
@@ -305,10 +317,14 @@ def ipdr_binary(family: InstanceFamily, config: PdrConfig | None = None) -> Opti
     rows: list[RunStats] = []
     cached: PdrCtx | None = None
     verdicts: dict[int, Verdict] = {}
+    replayer: Skeleton | None = None
     a, b = -1, len(insts)
     while b - a > 1:
         mid = (a + b) // 2
-        ctx, verdict, row = _visit(cached, insts[mid], cfg, "binary", verdicts.get(b))
+        witness = verdicts.get(b)
+        if witness is not None and replayer is None:
+            replayer = Skeleton(family.system)
+        ctx, verdict, row = _visit(cached, insts[mid], cfg, "binary", witness, replayer)
         rows.append(row)
         verdicts[mid] = verdict
         if isinstance(verdict, Invariant):

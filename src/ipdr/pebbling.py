@@ -62,8 +62,10 @@ class Dag:
 
 
 def _stuck_node(nodes, edges):
-    """The first declared node that Kahn's algorithm cannot order (one on
-    or behind a cycle), or None for an acyclic graph."""
+    """A node on a cycle, or None for an acyclic graph. Kahn's algorithm
+    orders what it can; each node it cannot has a predecessor it cannot
+    order either, so walking predecessors from the first such node repeats
+    a node, and the first to repeat lies on a cycle."""
     indeg = {v: 0 for v in nodes}
     for _, v in edges:
         indeg[v] += 1
@@ -74,7 +76,12 @@ def _stuck_node(nodes, edges):
                 indeg[b] -= 1
                 if indeg[b] == 0:
                     ordered.append(b)
-    return next((v for v in nodes if indeg[v] > 0), None)
+    v = next((v for v in nodes if indeg[v] > 0), None)
+    seen = set()
+    while v is not None and v not in seen:
+        seen.add(v)
+        v = next(a for a, b in edges if b == v and indeg[a] > 0)
+    return v
 
 
 def parse_dag(text: str) -> Dag:

@@ -32,6 +32,8 @@ COLUMNS = (
     ("ctg_blocks", "ctg_blocks", int),
     ("join_tries", "join_tries", int),
     ("join_wins", "join_wins", int),
+    ("drop_tries", "drop_tries", int),
+    ("drop_wins", "drop_wins", int),
     ("push_tries", "push_tries", int),
     ("push_skips", "push_skips", int),
     ("sat_calls", "sat_calls", int),
@@ -62,6 +64,8 @@ class EngineCounters:
     ctg_blocks: int = 0  # of them, the ones that blocked
     join_tries: int = 0  # queries on a joined cube in `_ctg_down`
     join_wins: int = 0  # of them, the ones that blocked
+    drop_tries: int = 0  # literal drops `generalize` tried
+    drop_wins: int = 0  # of them, the ones that kept a shorter cube
     push_tries: int = 0  # pushes `propagate` considered
     push_skips: int = 0  # of them, the ones skipped as already failed (`Frames.push_failed`)
 

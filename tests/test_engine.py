@@ -32,7 +32,7 @@ from ipdr.engine import (
     propagate,
     validate_ctx,
 )
-from ipdr.incremental import ipdr_binary, ipdr_constrain, ipdr_relax
+from ipdr.incremental import _visit, ipdr_binary, ipdr_constrain, ipdr_relax
 from ipdr.pebbling import encode_pebbling, load_dag
 from ipdr.peterson import encode_peterson
 from ipdr.solver import FALSE, UNDEF, Solver, SolverTimeout
@@ -510,6 +510,41 @@ def test_a_context_whose_ctgs_block_keeps_trying_them():
     assert counters.join_wins > 0
     assert counters.join_tries > CTG_CREDIT
     assert tries <= CTG_CREDIT * (wins + 1)
+
+
+# --- drop credit -------------------------------------------------------------------
+
+
+def _ham7tc(*budgets):
+    dag = load_dag(str(Path(__file__).parent.parent / "benchmarks" / "ham7tc.tfc"))
+    return encode_pebbling(dag, list(budgets), "constraining").instances
+
+
+def test_an_instance_whose_drops_never_win_stops_dropping():
+    # no drop wins at 23 pebbles, so the first CTG_CREDIT drops are the
+    # last; constraining to 16 pebbles is a new binding with a new ledger
+    p23, p16 = _ham7tc(23, 16)
+    ctx, verdict, row = _visit(None, p23, PdrConfig(), "constrain")
+    assert isinstance(verdict, Trace)
+    assert (row.drop_tries, row.drop_wins) == (CTG_CREDIT, 0)
+    _, _, row = _visit(ctx, p16, PdrConfig(), "constrain")
+    assert row.drop_tries > 0
+
+
+def test_an_instance_whose_drops_win_keeps_dropping():
+    counters = _fresh_run(encode_peterson(3, [0]).instances[0])
+    assert counters.drop_tries > CTG_CREDIT
+    assert counters.drop_wins > 0
+    assert counters.drop_tries <= CTG_CREDIT * (counters.drop_wins + 1)
+
+
+def test_an_instance_out_of_drop_credit_keeps_its_frames_valid():
+    # once drops stop, every lemma is a repaired blocking core; the debug
+    # sweep checks the frames at every propagation, and once more here
+    ctx = PdrCtx(_ham7tc(23)[0], PdrConfig(debug_invariants=True))
+    assert isinstance(pdr_main(ctx), Trace)
+    assert (ctx.counters.drop_tries, ctx.counters.drop_wins) == (CTG_CREDIT, 0)
+    assert validate_ctx(ctx, frontier_clear=False) == []
 
 
 # --- retired activation literals ------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ipdr.certify
-from ipdr.certify import check_invariant, check_trace, load_frames
+from ipdr.certify import Skeleton, check_invariant, check_trace, load_frames
 from ipdr.cnf import Clause
 from ipdr.engine import (
     Invariant,
@@ -237,6 +237,10 @@ def test_trace_replay_checks_every_leg():
     assert trace_valid_in(trace, most)
     assert trace_valid_in(trace, middle)  # group 2 is not on the path
     assert not trace_valid_in(trace, least)  # group 1 carried 10 -> 11
+    # one skeleton rebound from instance to instance gives the same answers
+    replayer = Skeleton(fam.system)
+    for inst in (least, most, middle, least, most):
+        assert trace_valid_in(trace, inst, replayer) == trace_valid_in(trace, inst)
 
 
 def test_trace_replay_length_zero():
@@ -487,8 +491,8 @@ def test_binary_relaxes_from_the_last_invariant_only(monkeypatch):
     def constrain_spy(ctx, nxt):
         raise AssertionError(f"constrained down from {ctx.instance.label} to {nxt.label}")
 
-    def replay_spy(trace, inst):
-        valid = original_replay(trace, inst)
+    def replay_spy(trace, inst, replayer):
+        valid = original_replay(trace, inst, replayer)
         if valid:
             replayed.append(inst.label)
         return valid

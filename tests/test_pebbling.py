@@ -49,6 +49,12 @@ def test_dag_rejects_cycle_naming_a_node():
         Dag(("a", "b"), (("a", "b"), ("b", "a")), ("a",))
 
 
+def test_dag_cycle_error_names_a_node_on_the_cycle():
+    # x only depends on the cycle b <-> c, and it is declared first
+    with pytest.raises(ValueError, match="cycle through node b$"):
+        Dag(("x", "b", "c"), (("b", "x"), ("b", "c"), ("c", "b")), ("x",))
+
+
 def test_dag_rejects_self_edge():
     with pytest.raises(ValueError, match="cycle"):
         Dag(("a",), (("a", "a"),), ("a",))
