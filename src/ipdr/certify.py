@@ -224,11 +224,13 @@ def _loaded(inst: Instance) -> Skeleton:
     return sk
 
 
-def check_trace(inst: Instance, states: Sequence[State]) -> dict[str, bool]:
-    """Certify a counterexample of `inst` on a fresh solver. A length-0
-    trace is valid exactly when its single state is initial and violates
-    the property; an empty one fails every check. Raises ValueError on a
-    state whose width is not the system's."""
+def check_trace(inst: Instance, states: Sequence[State],
+                sk: Skeleton | None = None) -> dict[str, bool]:
+    """Certify a counterexample of `inst` on `sk`, a skeleton of its system
+    rebound to `inst` here, or on a fresh solver when there is none. A
+    length-0 trace is valid exactly when its single state is initial and
+    violates the property; an empty one fails every check. Raises
+    ValueError on a state whose width is not the system's."""
     sys_ = inst.system
     n = len(sys_.state_vars)
     for st in states:
@@ -236,7 +238,9 @@ def check_trace(inst: Instance, states: Sequence[State]) -> dict[str, bool]:
             raise ValueError(f"trace state {st.bits!r} has {len(st.values)} bits, expected {n}")
     if not states:
         return dict.fromkeys(("trace-initial", "trace-steps", "trace-final"), False)
-    return replay(_loaded(inst), [sys_.state_cube(st) for st in states])
+    sk = sk or Skeleton(sys_)
+    sk.bind_instance(inst)
+    return replay(sk, [sys_.state_cube(st) for st in states])
 
 
 def load_frames(inst: Instance, deltas: Sequence[Iterable[Clause]],

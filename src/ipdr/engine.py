@@ -80,7 +80,13 @@ class UsageError(Exception):
 # which is already a valid lemma. Drop wins grow as a pebbling budget
 # tightens (5% of ham7tc's drops at 23 pebbles, about 30% at 10 to 13),
 # so a ledger over the context's whole life, spent at the loose budgets,
-# would starve the tight ones; each binding starts it afresh.
+# would starve the tight ones; each binding starts it afresh. A fresh
+# engine's first drops fail at every budget, since its low frames are weak
+# (on ham7tc they are the same queries at 9 pebbles as at 23), so a
+# binding out of credit still probes: the 1st, 2nd, 4th, 8th, ...
+# generalization it begins with no credit tries its drops, and a probe's
+# win buys CTG_CREDIT more tries. Where drops never win, the probes cost a
+# few drops per doubling of the generalizations.
 CTG_DEPTH = 1
 MAX_CTGS = 5
 CTG_CREDIT = 16
@@ -100,6 +106,15 @@ def has_drop_credit(ctx: PdrCtx) -> bool:
     """Room for one more literal drop under the context's instance binding."""
     c, b = ctx.counters, ctx.bound_counters
     return _credit_left(c.drop_tries - b.drop_tries, c.drop_wins - b.drop_wins)
+
+
+def _drop_probe(ctx: PdrCtx) -> bool:
+    """Count a generalization begun with no drop credit, and say whether it
+    is a probe that tries its drops anyway: the 1st, 2nd, 4th, 8th, ... of
+    the binding."""
+    ctx.counters.drop_starved += 1
+    n = ctx.counters.drop_starved - ctx.bound_counters.drop_starved
+    return n & (n - 1) == 0
 
 
 @dataclass
@@ -384,11 +399,12 @@ def generalize(ctx: PdrCtx, level: int, cube: Cube, seed: Cube | None = None, de
     if seed is not None and len(seed.lits) < len(cube.lits):
         q = _repair_init(ctx, seed, cube)
     counters = ctx.counters
+    probe = not has_drop_credit(ctx) and _drop_probe(ctx)
     for lit in cube.lits:
         current = set(q.lits)
         if lit not in current or len(q.lits) <= 1:
             continue
-        if not has_drop_credit(ctx):
+        if not (probe or has_drop_credit(ctx)):
             break
         counters.drop_tries += 1
         cand = Cube._canonical_tuple(tuple([l for l in q.lits if l != lit]))

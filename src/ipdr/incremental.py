@@ -22,10 +22,12 @@ globals, so a wrapper set on the module sees every call.
 
 from __future__ import annotations
 
+import functools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 
-from .certify import Skeleton, replay
+from .certify import Skeleton, check_trace
 from .engine import (
     Invariant,
     InvariantViolation,
@@ -135,17 +137,22 @@ def relax(ctx: PdrCtx, nxt: Instance) -> tuple[int, int]:
     return sum(map(len, old[1:])), sum(map(len, frames.deltas))
 
 
-def trace_valid_in(trace: Trace, inst: Instance, replayer: Skeleton | None = None) -> bool:
-    """Replay a counterexample against another instance: the head must be
-    an initial state, every consecutive pair one step, and the tail a
-    property violation. A length-0 trace is valid exactly when its single
-    state is initial and violates the property. The replay runs on
-    `replayer`, a skeleton of the family's system that a driver keeps for
-    all its replays and that is rebound to `inst` here, or on a fresh
-    solver when there is none."""
-    replayer = replayer or Skeleton(inst.system)
-    replayer.bind_instance(inst)
-    return all(replay(replayer, [inst.system.state_cube(st) for st in trace.states]).values())
+def trace_valid_in(trace: Trace, inst: Instance,
+                   replayer: Callable[[], Skeleton] | None = None) -> bool:
+    """Replay a counterexample against another instance with
+    `certify.check_trace`: the head must be an initial state, every
+    consecutive pair one step, and the tail a property violation. A
+    length-0 trace is valid exactly when its single state is initial and
+    violates the property. The replay runs on `replayer()`, the skeleton of
+    the family's system that a driver keeps for all its replays (see
+    `_replayer`), or on a fresh solver when there is none."""
+    return all(check_trace(inst, trace.states, replayer and replayer()).values())
+
+
+def _replayer(family: InstanceFamily) -> Callable[[], Skeleton]:
+    """A driver's replay skeleton, loaded at its first use, so the load
+    counts in the replay that needs it."""
+    return functools.cache(lambda: Skeleton(family.system))
 
 
 # --- the per-instance step -------------------------------------------------------
@@ -157,7 +164,7 @@ def _visit(
     cfg: PdrConfig,
     strategy: str,
     witness: Trace | None = None,
-    replayer: Skeleton | None = None,
+    replayer: Callable[[], Skeleton] | None = None,
 ) -> tuple[PdrCtx | None, Verdict, RunStats]:
     """Run one instance and return (context, verdict, stats row).
 
@@ -246,11 +253,9 @@ def _sweep(family: InstanceFamily, cfg: PdrConfig, strategy: str) -> IpdrOutcome
     ctx: PdrCtx | None = None
     verdict: Verdict | None = None
     last_trace: Trace | None = None
-    replayer: Skeleton | None = None
+    replayer = _replayer(family)
     for inst in family.instances:
         witness = last_trace if strategy == "constrain" else None
-        if witness is not None and replayer is None:
-            replayer = Skeleton(family.system)
         ctx, verdict, row = _visit(ctx, inst, cfg, strategy, witness, replayer)
         rows.append(row)
         if strategy == "naive":
@@ -317,14 +322,11 @@ def ipdr_binary(family: InstanceFamily, config: PdrConfig | None = None) -> Opti
     rows: list[RunStats] = []
     cached: PdrCtx | None = None
     verdicts: dict[int, Verdict] = {}
-    replayer: Skeleton | None = None
+    replayer = _replayer(family)
     a, b = -1, len(insts)
     while b - a > 1:
         mid = (a + b) // 2
-        witness = verdicts.get(b)
-        if witness is not None and replayer is None:
-            replayer = Skeleton(family.system)
-        ctx, verdict, row = _visit(cached, insts[mid], cfg, "binary", witness, replayer)
+        ctx, verdict, row = _visit(cached, insts[mid], cfg, "binary", verdicts.get(b), replayer)
         rows.append(row)
         verdicts[mid] = verdict
         if isinstance(verdict, Invariant):

@@ -34,6 +34,7 @@ COLUMNS = (
     ("join_wins", "join_wins", int),
     ("drop_tries", "drop_tries", int),
     ("drop_wins", "drop_wins", int),
+    ("drop_starved", "drop_starved", int),
     ("push_tries", "push_tries", int),
     ("push_skips", "push_skips", int),
     ("sat_calls", "sat_calls", int),
@@ -66,6 +67,7 @@ class EngineCounters:
     join_wins: int = 0  # of them, the ones that blocked
     drop_tries: int = 0  # literal drops `generalize` tried
     drop_wins: int = 0  # of them, the ones that kept a shorter cube
+    drop_starved: int = 0  # generalizations begun with no drop credit
     push_tries: int = 0  # pushes `propagate` considered
     push_skips: int = 0  # of them, the ones skipped as already failed (`Frames.push_failed`)
 

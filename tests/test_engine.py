@@ -26,7 +26,9 @@ from ipdr.engine import (
     PdrCtx,
     SingleContextSolver,
     Trace,
+    _drop_probe,
     add_blocked,
+    has_drop_credit,
     init_cube,
     pdr_main,
     propagate,
@@ -521,29 +523,59 @@ def _ham7tc(*budgets):
 
 
 def test_an_instance_whose_drops_never_win_stops_dropping():
-    # no drop wins at 23 pebbles, so the first CTG_CREDIT drops are the
-    # last; constraining to 16 pebbles is a new binding with a new ledger
+    # no drop wins at 23 pebbles: past the first CTG_CREDIT drops only the
+    # probes try any, the 1st, 2nd, 4th, ... generalization begun with no
+    # credit; constraining to 16 pebbles is a new binding with a new ledger
     p23, p16 = _ham7tc(23, 16)
     ctx, verdict, row = _visit(None, p23, PdrConfig(), "constrain")
     assert isinstance(verdict, Trace)
-    assert (row.drop_tries, row.drop_wins) == (CTG_CREDIT, 0)
+    assert row.drop_wins == 0
+    assert row.drop_starved > 100
+    probes = row.drop_starved.bit_length()
+    assert CTG_CREDIT < row.drop_tries <= CTG_CREDIT + probes * len(p23.system.state_vars)
     _, _, row = _visit(ctx, p16, PdrConfig(), "constrain")
     assert row.drop_tries > 0
+
+
+def test_a_starved_instance_drops_again_once_a_probe_wins():
+    # 12 pebbles starts like 23, whose early drops all fail, but its later
+    # drops win; a probe's win buys the binding CTG_CREDIT more tries
+    ctx = PdrCtx(_ham7tc(12)[0], PdrConfig())
+    assert isinstance(pdr_main(ctx), Trace)
+    c = ctx.counters
+    assert 0 < c.drop_starved < 100
+    assert c.drop_wins > 10 * CTG_CREDIT
+    assert c.drop_tries <= CTG_CREDIT * (c.drop_wins + 1) + c.drop_starved * len(ctx.system.state_vars)
+
+
+def test_drop_probes_back_off_and_restart_at_a_binding():
+    p23, p16 = _ham7tc(23, 16)
+    ctx = PdrCtx(p23, PdrConfig())
+    ctx.counters.drop_tries = CTG_CREDIT  # no credit left
+    assert not has_drop_credit(ctx)
+    expect = [n & (n - 1) == 0 for n in range(1, 18)]
+    assert [_drop_probe(ctx) for _ in expect] == expect
+    ctx.rebind(p16)
+    assert has_drop_credit(ctx)
+    ctx.counters.drop_tries += CTG_CREDIT
+    assert [_drop_probe(ctx) for _ in range(4)] == [True, True, False, True]
 
 
 def test_an_instance_whose_drops_win_keeps_dropping():
     counters = _fresh_run(encode_peterson(3, [0]).instances[0])
     assert counters.drop_tries > CTG_CREDIT
     assert counters.drop_wins > 0
+    assert counters.drop_starved == 0
     assert counters.drop_tries <= CTG_CREDIT * (counters.drop_wins + 1)
 
 
 def test_an_instance_out_of_drop_credit_keeps_its_frames_valid():
-    # once drops stop, every lemma is a repaired blocking core; the debug
-    # sweep checks the frames at every propagation, and once more here
+    # once drops stop, a lemma is a repaired blocking core or a probe's
+    # shrunk cube; the debug sweep checks the frames at every
+    # propagation, and once more here
     ctx = PdrCtx(_ham7tc(23)[0], PdrConfig(debug_invariants=True))
     assert isinstance(pdr_main(ctx), Trace)
-    assert (ctx.counters.drop_tries, ctx.counters.drop_wins) == (CTG_CREDIT, 0)
+    assert ctx.counters.drop_wins == 0 and ctx.counters.drop_starved > 0
     assert validate_ctx(ctx, frontier_clear=False) == []
 
 

@@ -238,9 +238,9 @@ def test_trace_replay_checks_every_leg():
     assert trace_valid_in(trace, middle)  # group 2 is not on the path
     assert not trace_valid_in(trace, least)  # group 1 carried 10 -> 11
     # one skeleton rebound from instance to instance gives the same answers
-    replayer = Skeleton(fam.system)
+    sk = Skeleton(fam.system)
     for inst in (least, most, middle, least, most):
-        assert trace_valid_in(trace, inst, replayer) == trace_valid_in(trace, inst)
+        assert trace_valid_in(trace, inst, lambda: sk) == trace_valid_in(trace, inst)
 
 
 def test_trace_replay_length_zero():
@@ -252,6 +252,9 @@ def test_trace_replay_length_zero():
     trace = pdr_main(ctx)
     assert isinstance(trace, Trace) and len(trace.states) == 1
     assert trace_valid_in(trace, inst)
+    # an empty trace fails the checks, on a driver's skeleton too
+    sk = Skeleton(fam.system)
+    assert not trace_valid_in(Trace(()), inst, lambda: sk)
 
 
 # --- linear drivers ---------------------------------------------------------------

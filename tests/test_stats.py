@@ -24,6 +24,7 @@ def sample_row(**kw):
         join_wins=1,
         drop_tries=25,
         drop_wins=8,
+        drop_starved=3,
         push_tries=14,
         push_skips=5,
         sat_calls=120,
@@ -45,7 +46,7 @@ def test_csv_header_is_stable():
     header = text.splitlines()[0]
     assert header == (
         "strategy,problem,instance,verdict,cti_count,obligations,ctg_tries,ctg_blocks,"
-        "join_tries,join_wins,drop_tries,drop_wins,push_tries,push_skips,sat_calls,sat_time_s,copy_attempts,copied,copy_rate,incr_prep_s,total_s,seed"
+        "join_tries,join_wins,drop_tries,drop_wins,drop_starved,push_tries,push_skips,sat_calls,sat_time_s,copy_attempts,copied,copy_rate,incr_prep_s,total_s,seed"
     )
     assert tuple(header.split(",")) == CSV_COLUMNS
 
