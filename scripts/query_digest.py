@@ -56,7 +56,7 @@ UNLEVELLED = ("sat_init", "sat_init_bad", "sat_step", "sat_cube_bad")
 def _answer(fs, result):
     if isinstance(result, solver.SatResult):
         if result.sat:
-            return True, result.cube(fs.system.state_vars).lits
+            return True, solver.model_cube(result, fs.system.state_vars).lits
         return False, tuple(sorted(result.core))
     if isinstance(result, tuple):  # rel_ind: (blocked, cube)
         return result[0], result[1].lits

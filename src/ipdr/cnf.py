@@ -40,16 +40,19 @@ def _canonical(lits: Iterable[int], kind: str) -> tuple[int, ...]:
     return tuple(seen[v] for v in sorted(seen))
 
 
-class Clause:
-    """Disjunction of literals; no two literals share a variable."""
+class _Lits:
+    """The body a clause and a cube share: an immutable tuple of literals,
+    no two of them over one variable. `_tag` names the kind in errors and
+    hashes, so a clause and a cube over the same literals differ."""
 
     __slots__ = ("lits",)
+    _tag = ""
 
     def __init__(self, lits: Iterable[int]):
-        object.__setattr__(self, "lits", _canonical(lits, "clause"))
+        object.__setattr__(self, "lits", _canonical(lits, self._tag))
 
     def __setattr__(self, name, value):
-        raise AttributeError("Clause is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.lits)
@@ -58,59 +61,47 @@ class Clause:
         return len(self.lits)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Clause) and self.lits == other.lits
+        return isinstance(other, type(self)) and self.lits == other.lits
 
     def __hash__(self) -> int:
-        return hash(("clause", self.lits))
+        return hash((self._tag, self.lits))
 
     def __repr__(self) -> str:
-        return f"Clause({list(self.lits)})"
+        return f"{type(self).__name__}({list(self.lits)})"
+
+    @classmethod
+    def _canonical_tuple(cls, lits: tuple[int, ...]):
+        """The clause or cube of a tuple that is already canonical: nonzero
+        literals over distinct variables, sorted by variable, as a model
+        read off in variable order or a subsequence of another cube's
+        literals is. The tuple is not checked; anything else goes through
+        the constructor."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "lits", lits)
+        return obj
+
+
+class Clause(_Lits):
+    """Disjunction of literals; no two literals share a variable."""
+
+    __slots__ = ()
+    _tag = "clause"
 
     def negate(self) -> "Cube":
         return Cube(-l for l in self.lits)
 
 
-class Cube:
+class Cube(_Lits):
     """Conjunction of literals; no two literals share a variable."""
 
-    __slots__ = ("lits",)
-
-    def __init__(self, lits: Iterable[int]):
-        object.__setattr__(self, "lits", _canonical(lits, "cube"))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cube is immutable")
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.lits)
-
-    def __len__(self) -> int:
-        return len(self.lits)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Cube) and self.lits == other.lits
-
-    def __hash__(self) -> int:
-        return hash(("cube", self.lits))
-
-    def __repr__(self) -> str:
-        return f"Cube({list(self.lits)})"
+    __slots__ = ()
+    _tag = "cube"
 
     def negate(self) -> Clause:
         return Clause(-l for l in self.lits)
 
     def as_assignment(self) -> dict[int, bool]:
         return {var_of(l): is_positive(l) for l in self.lits}
-
-    @classmethod
-    def _canonical_tuple(cls, lits: tuple[int, ...]) -> "Cube":
-        """The cube of a tuple that is already canonical: nonzero literals
-        over distinct variables, sorted by variable, as a model read off in
-        variable order or a subsequence of another cube's literals is. The
-        tuple is not checked; anything else goes through `Cube(...)`."""
-        cube = object.__new__(cls)
-        object.__setattr__(cube, "lits", lits)
-        return cube
 
 
 # --- auxiliary variables -----------------------------------------------------

@@ -41,6 +41,7 @@ from .engine import (
     propagate,
     validate_ctx,
 )
+from .solver import model_cube
 from .stats import RunStats
 from .system import Instance, InstanceFamily, State
 
@@ -209,7 +210,7 @@ def _visit(
             ctx.rebind(inst)
             r = ctx.fs.sat_init_bad()
             if r.sat:
-                verdict = Trace((State.from_cube(ctx.system, r.cube(ctx.system.state_vars)),))
+                verdict = Trace((State.from_cube(ctx.system, model_cube(r, ctx.system.state_vars)),))
             else:
                 attempts, copied = relax(ctx, inst)
         else:

@@ -101,9 +101,6 @@ class SatResult:
             raise ValueError(f"variable {var_of(lit)} unassigned in model")
         return (a == TRUE) == (lit > 0)
 
-    def cube(self, variables: Iterable[int]) -> Cube:
-        return model_cube(self, variables)
-
 
 def model_cube(result: SatResult, variables: Iterable[int]) -> Cube:
     """Total cube over the given distinct variables, read off the model."""

@@ -15,7 +15,7 @@ from dataclasses import replace
 from itertools import product
 
 from ipdr.cnf import var_of, is_positive
-from ipdr.solver import Solver
+from ipdr.solver import Solver, model_cube
 from ipdr.system import (Instance, State, TransitionSystem, build_explicit_family,
                          effective_init, effective_trans)
 
@@ -127,7 +127,7 @@ def enumerate_init_states(inst: Instance) -> list[State]:
         r = solver.solve([])
         if not r.sat:
             break
-        cube = r.cube(sys_.state_vars)
+        cube = model_cube(r, sys_.state_vars)
         out.append(State.from_cube(sys_, cube))
         solver.add_clause([-l for l in cube])
     return sorted(out, key=lambda s: s.bits)
@@ -144,7 +144,7 @@ def successors(solver: Solver, inst: Instance, state: State) -> list[State]:
         r = solver.solve(list(src.lits) + [g])
         if not r.sat:
             break
-        nxt = r.cube(sys_.primed_vars)
+        nxt = model_cube(r, sys_.primed_vars)
         asg = nxt.as_assignment()
         out.append(State(tuple(asg[v] for v in sys_.primed_vars)))
         solver.add_clause([-g] + [-l for l in nxt])
