@@ -187,7 +187,10 @@ def _parse_span(text: str, what: str) -> tuple[int, int]:
     parts = text.split("..")
     try:
         if len(parts) <= 2:
-            return int(parts[0]), int(parts[-1])
+            lo, hi = int(parts[0]), int(parts[-1])
+            if lo > hi:
+                raise UsageError(f"empty {what} range {text!r}: LO exceeds HI")
+            return lo, hi
     except ValueError:
         pass
     raise UsageError(f"bad {what} range {text!r}; expected N or LO..HI")

@@ -59,47 +59,34 @@ class UsageError(Exception):
     """Caller error: arguments outside what the interface supports."""
 
 
-# generalization blocks counterexamples to generalization (CTGs) nested at
-# most CTG_DEPTH deep, and at most MAX_CTGS in a row for one candidate cube;
-# a candidate whose CTG is not blocked is joined with it (shrunk to the
-# literals they share) and queried again. Both are speculative queries, and
-# one credit covers them: a context makes one (a CTG try, or a join try,
-# the query on a joined cube) only while its tries stay below CTG_CREDIT
-# times one more than its wins (blocked CTGs and joined cubes that block).
-# Each win earns CTG_CREDIT more tries, and a context that wins none of its
-# first CTG_CREDIT stops for good, across repairs too: with no credit left,
+# generalization joins a candidate cube whose query fails with the state it
+# returns (shrinks it to the literals they share) and queries it again.
+# Joins are speculative, and a context makes one only while its join tries
+# stay below CREDIT times one more than its join wins (joined cubes that
+# block). Each win earns CREDIT more tries, and a context that wins none of
+# its first CREDIT stops for good, across repairs too: with no credit left,
 # a drop that fails its first query fails without joining. On pebbling
-# almost no CTG or join blocks, while filter-lock contexts win about half
-# their CTGs, so the rule keeps both only where they pay.
+# almost no join blocks, while filter-lock contexts keep winning.
 #
 # The literal drops of `generalize` run under the same rule with a ledger
-# of their own, kept per instance binding: a context tries a drop only
-# while the drops it tried since its last binding stay below CTG_CREDIT
-# times one more than the drops that won (kept a shorter cube). Without
-# credit `generalize` returns the cube it has, the repaired blocking core,
-# which is already a valid lemma. Drop wins grow as a pebbling budget
-# tightens (5% of ham7tc's drops at 23 pebbles, about 30% at 10 to 13),
-# so a ledger over the context's whole life, spent at the loose budgets,
-# would starve the tight ones; each binding starts it afresh. A fresh
-# engine's first drops fail at every budget, since its low frames are weak
-# (on ham7tc they are the same queries at 9 pebbles as at 23), so a
+# of their own, kept per instance binding, since drop wins grow as a
+# pebbling budget tightens (5% of ham7tc's drops at 23 pebbles, about 30%
+# at 10 to 13). Without credit `generalize` returns the cube it has, the
+# repaired blocking core, which is already a valid lemma. A fresh engine's
+# first drops fail at every budget, since its low frames are weak, so a
 # binding out of credit still probes: the 1st, 2nd, 4th, 8th, ...
 # generalization it begins with no credit tries its drops, and a probe's
-# win buys CTG_CREDIT more tries. Where drops never win, the probes cost a
-# few drops per doubling of the generalizations.
-CTG_DEPTH = 1
-MAX_CTGS = 5
-CTG_CREDIT = 16
+# win buys CREDIT more tries.
+CREDIT = 16
 
 
 def _credit_left(tries: int, wins: int) -> bool:
-    return tries < CTG_CREDIT * (wins + 1)
+    return tries < CREDIT * (wins + 1)
 
 
 def has_credit(counters: EngineCounters) -> bool:
-    """Room for one more speculative query (a CTG or a join try)."""
-    return _credit_left(counters.ctg_tries + counters.join_tries,
-                        counters.ctg_blocks + counters.join_wins)
+    """Room for one more join try."""
+    return _credit_left(counters.join_tries, counters.join_wins)
 
 
 def has_drop_credit(ctx: PdrCtx) -> bool:
@@ -391,10 +378,11 @@ def _repair_init(ctx: PdrCtx, sub: Cube, full: Cube) -> Cube:
             raise EngineError("initial-state repair failed to make progress")
 
 
-def generalize(ctx: PdrCtx, level: int, cube: Cube, seed: Cube | None = None, depth: int = 0) -> Cube:
+def generalize(ctx: PdrCtx, level: int, cube: Cube, seed: Cube | None = None) -> Cube:
     """Shrink a blocked cube to a strong subcube that is still excluded by
     the initial states and still inductive relative to F_{level-1}, while
-    the context has credit for literal drops (`has_drop_credit`)."""
+    the context has credit for literal drops (`has_drop_credit`). Files
+    no frame clause."""
     q = cube
     if seed is not None and len(seed.lits) < len(cube.lits):
         q = _repair_init(ctx, seed, cube)
@@ -408,25 +396,19 @@ def generalize(ctx: PdrCtx, level: int, cube: Cube, seed: Cube | None = None, de
             break
         counters.drop_tries += 1
         cand = Cube._canonical_tuple(tuple([l for l in q.lits if l != lit]))
-        ok, shrunk = _ctg_down(ctx, cand, level, depth)
+        ok, shrunk = _down(ctx, cand, level)
         if ok:
             counters.drop_wins += 1
             q = shrunk
     return q
 
 
-def _ctg_down(ctx: PdrCtx, q: Cube, level: int, depth: int) -> tuple[bool, Cube]:
-    """Try to establish a candidate subcube, strengthening frames against
-    counterexamples to generalization and otherwise joining with them,
-    while the context has credit for speculative queries."""
-    fs, frames, counters = ctx.fs, ctx.frames, ctx.counters
-    ctgs = 0
+def _down(ctx: PdrCtx, q: Cube, level: int) -> tuple[bool, Cube]:
+    """Query a candidate subcube; while it fails and the context has credit
+    (`has_credit`), join it with the returned state and query again."""
+    fs, counters = ctx.fs, ctx.counters
     joined = False
-    while True:
-        if not q.lits:
-            return False, q
-        if fs.sat_init(q).sat:
-            return False, q
+    while q.lits and not fs.sat_init(q).sat:
         blocked, payload = fs.rel_ind(level - 1, q)
         if joined:
             counters.join_tries += 1
@@ -434,31 +416,12 @@ def _ctg_down(ctx: PdrCtx, q: Cube, level: int, depth: int) -> tuple[bool, Cube]
         if blocked:
             sub = payload if payload.lits else q
             return True, _repair_init(ctx, sub, q)
-        m = payload
-        if (
-            depth < CTG_DEPTH
-            and ctgs < MAX_CTGS
-            and level > 1
-            and has_credit(counters)
-            and not fs.sat_init(m).sat
-        ):
-            counters.ctg_tries += 1
-            m_blocked, _ = fs.rel_ind(level - 1, m)
-            if m_blocked:
-                counters.ctg_blocks += 1
-                j = level
-                while j <= frames.k and fs.rel_ind(j, m)[0]:
-                    j += 1
-                cg = generalize(ctx, j, m, depth=depth + 1)
-                add_blocked(ctx, cg.negate(), j)
-                ctgs += 1
-                continue
         if not has_credit(counters):
-            return False, q
-        ctgs = 0
+            break
         joined = True
-        keep = set(m.lits)
+        keep = set(payload.lits)
         q = Cube._canonical_tuple(tuple([l for l in q.lits if l in keep]))
+    return False, q
 
 
 def _subsumed(frames: Frames, lits: set[int], level: int) -> bool:

@@ -28,8 +28,6 @@ COLUMNS = (
     ("verdict", "verdict_kind", str),
     ("cti_count", "cti_count", int),
     ("obligations", "obligations_handled", int),
-    ("ctg_tries", "ctg_tries", int),
-    ("ctg_blocks", "ctg_blocks", int),
     ("join_tries", "join_tries", int),
     ("join_wins", "join_wins", int),
     ("drop_tries", "drop_tries", int),
@@ -61,9 +59,7 @@ class EngineCounters:
 
     cti_count: int = 0  # bad states found at the frontier
     obligations_handled: int = 0  # proof obligations popped from the queue
-    ctg_tries: int = 0  # CTG blocking queries in `_ctg_down`
-    ctg_blocks: int = 0  # of them, the ones that blocked
-    join_tries: int = 0  # queries on a joined cube in `_ctg_down`
+    join_tries: int = 0  # queries on a joined cube in `_down`
     join_wins: int = 0  # of them, the ones that blocked
     drop_tries: int = 0  # literal drops `generalize` tried
     drop_wins: int = 0  # of them, the ones that kept a shorter cube

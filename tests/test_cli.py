@@ -207,6 +207,11 @@ def test_pebble_bad_range(capsys, chain3):
     assert code == 2
 
 
+def test_pebble_reversed_range_names_it(capsys, chain3):
+    assert main(["pebble", chain3, "--pebbles", "3..1"]) == 2
+    assert "empty pebble range '3..1'" in capsys.readouterr().err
+
+
 def test_a_huge_span_is_refused_before_it_is_listed(capsys, tmp_path, chain3):
     # listing a span of two million numbers takes hundreds of MB; its ends
     # are checked first
@@ -290,6 +295,11 @@ def test_peterson_one_proc_is_usage_error(capsys):
     code, doc = run(capsys, "peterson", "--procs", "1", "--switches", "2")
     assert code == 2
     assert doc is None
+
+
+def test_peterson_reversed_range_names_it(capsys):
+    assert main(["peterson", "--procs", "2", "--switches", "2..0"]) == 2
+    assert "empty switch range '2..0'" in capsys.readouterr().err
 
 
 def test_peterson_rejects_constrain(capsys):

@@ -14,10 +14,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ipdr import engine
 from ipdr.certify import Skeleton
 from ipdr.cnf import Clause, Cube
 from ipdr.engine import (
-    CTG_CREDIT,
+    CREDIT,
     BudgetExceeded,
     Frames,
     Invariant,
@@ -28,6 +29,7 @@ from ipdr.engine import (
     Trace,
     _drop_probe,
     add_blocked,
+    generalize,
     has_drop_credit,
     init_cube,
     pdr_main,
@@ -481,7 +483,7 @@ def test_unconstrained_state_variables_take_their_initial_values():
     assert fs.bad_cube_at(1) == Cube([x1, -x2, -x3])
 
 
-# --- CTG credit ---------------------------------------------------------------------
+# --- join credit --------------------------------------------------------------------
 
 
 def _fresh_run(inst):
@@ -490,28 +492,40 @@ def _fresh_run(inst):
     return ctx.counters
 
 
-def _tries_and_wins(counters):
-    return (counters.ctg_tries + counters.join_tries,
-            counters.ctg_blocks + counters.join_wins)
-
-
-def test_a_context_whose_ctgs_never_block_stops_trying_them():
-    # CTGs and joins share one credit: with no win, the first CTG_CREDIT
-    # speculative queries of either kind are the last
+def test_a_context_whose_joins_never_win_stops_trying_them():
+    # with no win, the first CREDIT join tries are the last
     dag = load_dag(str(Path(__file__).parent.parent / "benchmarks" / "ham7tc.tfc"))
     counters = _fresh_run(encode_pebbling(dag, [23]).instances[0])
-    assert _tries_and_wins(counters) == (CTG_CREDIT, 0)
-    assert (counters.ctg_tries, counters.join_tries) == (11, 5)
+    assert (counters.join_tries, counters.join_wins) == (CREDIT, 0)
 
 
-def test_a_context_whose_ctgs_block_keeps_trying_them():
-    # the filter lock's CTG blocks and join wins both fund the shared credit
-    counters = _fresh_run(encode_peterson(3, [0]).instances[0])
-    tries, wins = _tries_and_wins(counters)
-    assert counters.ctg_tries > CTG_CREDIT
+def test_a_context_whose_joins_win_keeps_trying_them():
+    # the filter lock's join wins buy it more tries (bound 0 makes only 11)
+    counters = _fresh_run(encode_peterson(3, [1]).instances[0])
     assert counters.join_wins > 0
-    assert counters.join_tries > CTG_CREDIT
-    assert tries <= CTG_CREDIT * (wins + 1)
+    assert counters.join_tries > CREDIT
+    assert counters.join_tries <= CREDIT * (counters.join_wins + 1)
+
+
+def test_generalize_files_no_frame_clause(monkeypatch):
+    # generalization only queries; the caller files the one lemma it returns
+    ctx = PdrCtx(encode_peterson(3, [1]).instances[0], PdrConfig())
+    frames = ctx.frames
+    calls = []
+
+    def snapshot():
+        return [list(d) for d in frames.deltas], list(frames.stamps)
+
+    def checked(*args, **kwargs):
+        before = snapshot()
+        out = generalize(*args, **kwargs)
+        calls.append(before == snapshot())
+        return out
+
+    monkeypatch.setattr(engine, "generalize", checked)
+    pdr_main(ctx)
+    assert len(calls) > 100
+    assert all(calls)
 
 
 # --- drop credit -------------------------------------------------------------------
@@ -523,7 +537,7 @@ def _ham7tc(*budgets):
 
 
 def test_an_instance_whose_drops_never_win_stops_dropping():
-    # no drop wins at 23 pebbles: past the first CTG_CREDIT drops only the
+    # no drop wins at 23 pebbles: past the first CREDIT drops only the
     # probes try any, the 1st, 2nd, 4th, ... generalization begun with no
     # credit; constraining to 16 pebbles is a new binding with a new ledger
     p23, p16 = _ham7tc(23, 16)
@@ -532,41 +546,41 @@ def test_an_instance_whose_drops_never_win_stops_dropping():
     assert row.drop_wins == 0
     assert row.drop_starved > 100
     probes = row.drop_starved.bit_length()
-    assert CTG_CREDIT < row.drop_tries <= CTG_CREDIT + probes * len(p23.system.state_vars)
+    assert CREDIT < row.drop_tries <= CREDIT + probes * len(p23.system.state_vars)
     _, _, row = _visit(ctx, p16, PdrConfig(), "constrain")
     assert row.drop_tries > 0
 
 
 def test_a_starved_instance_drops_again_once_a_probe_wins():
     # 12 pebbles starts like 23, whose early drops all fail, but its later
-    # drops win; a probe's win buys the binding CTG_CREDIT more tries
+    # drops win; a probe's win buys the binding CREDIT more tries
     ctx = PdrCtx(_ham7tc(12)[0], PdrConfig())
     assert isinstance(pdr_main(ctx), Trace)
     c = ctx.counters
     assert 0 < c.drop_starved < 100
-    assert c.drop_wins > 10 * CTG_CREDIT
-    assert c.drop_tries <= CTG_CREDIT * (c.drop_wins + 1) + c.drop_starved * len(ctx.system.state_vars)
+    assert c.drop_wins > 10 * CREDIT
+    assert c.drop_tries <= CREDIT * (c.drop_wins + 1) + c.drop_starved * len(ctx.system.state_vars)
 
 
 def test_drop_probes_back_off_and_restart_at_a_binding():
     p23, p16 = _ham7tc(23, 16)
     ctx = PdrCtx(p23, PdrConfig())
-    ctx.counters.drop_tries = CTG_CREDIT  # no credit left
+    ctx.counters.drop_tries = CREDIT  # no credit left
     assert not has_drop_credit(ctx)
     expect = [n & (n - 1) == 0 for n in range(1, 18)]
     assert [_drop_probe(ctx) for _ in expect] == expect
     ctx.rebind(p16)
     assert has_drop_credit(ctx)
-    ctx.counters.drop_tries += CTG_CREDIT
+    ctx.counters.drop_tries += CREDIT
     assert [_drop_probe(ctx) for _ in range(4)] == [True, True, False, True]
 
 
 def test_an_instance_whose_drops_win_keeps_dropping():
     counters = _fresh_run(encode_peterson(3, [0]).instances[0])
-    assert counters.drop_tries > CTG_CREDIT
+    assert counters.drop_tries > CREDIT
     assert counters.drop_wins > 0
     assert counters.drop_starved == 0
-    assert counters.drop_tries <= CTG_CREDIT * (counters.drop_wins + 1)
+    assert counters.drop_tries <= CREDIT * (counters.drop_wins + 1)
 
 
 def test_an_instance_out_of_drop_credit_keeps_its_frames_valid():

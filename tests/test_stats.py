@@ -18,8 +18,6 @@ def sample_row(**kw):
         verdict_kind="invariant",
         cti_count=4,
         obligations_handled=11,
-        ctg_tries=20,
-        ctg_blocks=2,
         join_tries=9,
         join_wins=1,
         drop_tries=25,
@@ -45,7 +43,7 @@ def test_csv_header_is_stable():
     text = emit_csv([sample_row()])
     header = text.splitlines()[0]
     assert header == (
-        "strategy,problem,instance,verdict,cti_count,obligations,ctg_tries,ctg_blocks,"
+        "strategy,problem,instance,verdict,cti_count,obligations,"
         "join_tries,join_wins,drop_tries,drop_wins,drop_starved,push_tries,push_skips,sat_calls,sat_time_s,copy_attempts,copied,copy_rate,incr_prep_s,total_s,seed"
     )
     assert tuple(header.split(",")) == CSV_COLUMNS
