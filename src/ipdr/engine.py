@@ -396,16 +396,17 @@ def generalize(ctx: PdrCtx, level: int, cube: Cube, seed: Cube | None = None) ->
             break
         counters.drop_tries += 1
         cand = Cube._canonical_tuple(tuple([l for l in q.lits if l != lit]))
-        ok, shrunk = _down(ctx, cand, level)
-        if ok:
+        shrunk = _down(ctx, cand, level)
+        if shrunk is not None:
             counters.drop_wins += 1
             q = shrunk
     return q
 
 
-def _down(ctx: PdrCtx, q: Cube, level: int) -> tuple[bool, Cube]:
+def _down(ctx: PdrCtx, q: Cube, level: int) -> Cube | None:
     """Query a candidate subcube; while it fails and the context has credit
-    (`has_credit`), join it with the returned state and query again."""
+    (`has_credit`), join it with the returned state and query again. The
+    blocked cube, repaired to exclude the initial states, or None."""
     fs, counters = ctx.fs, ctx.counters
     joined = False
     while q.lits and not fs.sat_init(q).sat:
@@ -415,13 +416,13 @@ def _down(ctx: PdrCtx, q: Cube, level: int) -> tuple[bool, Cube]:
             counters.join_wins += blocked
         if blocked:
             sub = payload if payload.lits else q
-            return True, _repair_init(ctx, sub, q)
+            return _repair_init(ctx, sub, q)
         if not has_credit(counters):
-            break
+            return None
         joined = True
         keep = set(payload.lits)
         q = Cube._canonical_tuple(tuple([l for l in q.lits if l in keep]))
-    return False, q
+    return None
 
 
 def _subsumed(frames: Frames, lits: set[int], level: int) -> bool:
