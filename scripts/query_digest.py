@@ -6,7 +6,11 @@ a SHA-1 over every frame-solver query answer, in call order.
 
 Run it from a source checkout; it imports `ipdr` from the checkout's `src/`
 and the workload definitions from `perfbench/workloads.py`, and runs each
-sweep of the workload once with the configuration perfbench uses. A change
+sweep of the workload once with the configuration perfbench uses, except
+for the solver seed: `--seed N` (default 0) sets `PdrConfig.seed` on every
+workload, where perfbench runs lock3 and ham7tc at its pinned
+`workloads.FIXED_PDR_SEED` whatever its own `--seed` says. One run per
+seed thus reads a workload's seed panel from the counters alone. A change
 meant to keep the search ("same answers, cheaper") must leave the digest,
 the solves, the conflicts and the decisions as they are; the propagations
 may fall when the change removes work that decides nothing. One line per
@@ -141,7 +145,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     lib = SimpleNamespace(incremental=incremental, pebbling=pebbling, peterson=peterson)
     wl = workloads.setup(args.workload, args.seed, lib, ROOT)
-    cfg = engine.PdrConfig(seed=wl.pdr_seed, timeout_s=workloads.ENGINE_TIMEOUT_S)
+    cfg = engine.PdrConfig(seed=args.seed, timeout_s=workloads.ENGINE_TIMEOUT_S)
     print(f"workload     {args.workload} seed {args.seed}")
     digest = Digest()
     digest.install()

@@ -43,9 +43,10 @@ class Frames:
     of the generation before the one it retires, so the solver drops those
     clauses (`Solver.simplify`) and stops deciding the literals. The
     generation it retires stays live until the next reset: its literals'
-    saved phases steer the first instance of the new generation, and fixing
-    them at once moved the lock3 relax sweep from 4,708 to 6,058 SAT
-    calls.
+    saved phases steer the first instance of the new generation. Fixing
+    them at once leaves the lock3 relax sweep at 4,150 SAT calls at seed 0,
+    with other query answers, but raises its median over seeds 0-5 from
+    4,174.5 to 4,496.
 
     Each level has a change stamp, bumped whenever F_level gains a clause,
     and `failed_pushes` remembers each push that failed as {clause: (level,

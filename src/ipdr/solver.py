@@ -42,24 +42,24 @@ learning, reduction and restarts. `_propagate` assigns literals inline
 instead of calling `_unchecked_enqueue`; it walks each watch list once
 with `for`, compacting it in place, and looks at the single candidate of a
 ternary clause without a loop; `_cancel_until`, `_analyze` and
-`_analyze_final` take a literal's variable inline. Each variable's heap key, the tuple
-(-activity, v), is built once per change of its activity and kept in
-`_key`, so a push builds no tuple. Only decision variables go on the
-decision heap; the entry `fresh_var` appends for a never-decided one stays
-until a pop skips it. A SAT answer with every variable assigned clears the
-heap instead of popping it empty: every entry is stale, so the pops would
-leave the same empty heap, which `_cancel_until(0)` then refills. None of
-this may move the search, which depends on two things the code does not
-show:
+`_analyze_final` take a literal's variable inline.
 
-- the order of the `heapq` calls: the decision heap is not kept sifted
-  (see `fresh_var`), so the order of pushes and pops picks the decisions.
-  For the same reason `_cancel_until` must push every decision variable
-  it unassigns, even one whose entry is still live: without the duplicate
-  pushes the heap layout changes, and with it the decisions;
-- the position of each literal in a clause: `clause[0]` is the literal a
-  reason clause implies (`_analyze` reads it) and the watch search visits
-  `clause[2:]` in order.
+Each decision is the unassigned decision variable with the least key
+(-activity, v). The decision heap makes it so by one invariant: it is a
+valid heap (every push is a `heappush`) of decision variables' keys, and
+every unassigned decision variable has an entry with its current key.
+Entries of assigned variables and outdated keys stay until a pop skips
+them; `_cancel_until` pushes every decision variable it unassigns, even
+one whose entry is still live, and the duplicate changes no decision. Each
+key is built once per change of its variable's activity and kept in
+`_key`, so a push builds no tuple. A SAT answer with every variable
+assigned clears the heap instead of popping it empty: every entry is
+stale, so the pops would leave the same empty heap, which `_cancel_until(0)`
+then refills.
+
+The search also depends on the position of each literal in a clause, which
+the code does not show: `clause[0]` is the literal a reason clause implies
+(`_analyze` reads it) and the watch search visits `clause[2:]` in order.
 """
 
 from __future__ import annotations
@@ -179,12 +179,8 @@ class Solver:
         self._seen.append(0)
         self.watches.append([])
         self.watches.append([])
-        # Appended without a sift, so the heap order can break (after 200
-        # fresh variables, 82 parent/child pairs are out of order), and the
-        # decision order depends on it. A `heappush` here raised the lock3
-        # relax sweep from 4,708 to 7,313 SAT calls; the measurement is under
-        # "Measured and parked" in ROADMAP.md.
-        self._heap.append(key)
+        if decision:
+            heapq.heappush(self._heap, key)
         return v
 
     def set_phases(self, lits: Iterable[int]) -> None:
@@ -495,10 +491,9 @@ class Solver:
             # current key, so an empty heap means all of them are assigned
             heap = self._heap
             activity = self.activity
-            decision = self.decision
             while heap:
                 negact, v = heapq.heappop(heap)
-                if assigns[v] == 0 and -negact == activity[v] and decision[v]:
+                if assigns[v] == 0 and -negact == activity[v]:
                     break
             else:
                 break

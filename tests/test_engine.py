@@ -616,6 +616,19 @@ def _query_digest(run):
     return digest.queries, digest.sha.hexdigest()
 
 
+def test_query_digest_seed_reaches_the_pinned_workloads(capsys):
+    # perfbench runs ham7tc at its pinned solver seed whatever its --seed
+    # says; the digest script's --seed reaches the solver
+    main = _load_query_digest().main
+    solves = []
+    for seed in (0, 1):
+        assert main(["--workload", "ham7tc", "--seed", str(seed)]) == 0
+        naive = next(line.split() for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("sweep") and "ham7tc/naive" in line)
+        solves.append(int(naive[naive.index("solves") + 1]))
+    assert solves[0] != solves[1]
+
+
 def _bench_dag(stem):
     return load_dag(str(Path(__file__).parent.parent / "benchmarks" / f"{stem}.dag"))
 

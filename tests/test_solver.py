@@ -1,7 +1,6 @@
 """Solver, gate and totalizer tests against brute-force oracles."""
 
 import contextlib
-import heapq
 import random
 import signal
 import time
@@ -417,25 +416,16 @@ def test_simplify_changes_no_answer_and_no_counter(script):
 
 class ReferenceSolver(Solver):
     """The solver with a plain `_propagate`, `_cancel_until`, `_solve`,
-    `_var_bump`, `_rebuild_heap` and `_reduce_db`: a `while` loop over each
-    watch list, one `_unchecked_enqueue` call per assigned literal, `var_of`
-    on each literal, a fresh (-activity, v) tuple for each heap entry, which
-    only decision variables get, a decision step that pops the heap until a
-    live decision variable comes up or the heap is empty, so a SAT answer
-    drains the heap, and a reduction that scans
-    both watch lists of each dropped clause for it. Its `_solve` keeps
-    propagation, assumption pushes and decisions apart, as MiniSat does,
-    where `Solver._propagate` pushes and decides itself. It ignores
-    deadlines. The fast versions in `Solver` must make exactly the same
-    search: the same trail, decisions, watch-list order, literal positions
-    and heap."""
-
-    def add_clause(self, lits):
-        # the inherited add_clause puts a variable it makes a decision
-        # variable on the heap under `_key[v]`, which only the fast solver
-        # keeps equal to (-activity[v], v)
-        self._key = [(-a, v) for v, a in enumerate(self.activity)]
-        return super().add_clause(lits)
+    `_var_bump` and `_reduce_db`: a `while` loop over each watch list, one
+    `_unchecked_enqueue` call per assigned literal, `var_of` on each
+    literal, a decision step that scans every variable for the unassigned
+    decision variable with the least (-activity, v), with no heap, and a
+    reduction that scans both watch lists of each dropped clause for it.
+    Its `_solve` keeps propagation, assumption pushes and decisions apart,
+    as MiniSat does, where `Solver._propagate` pushes and decides itself.
+    It ignores deadlines. The fast versions in `Solver` must make exactly
+    the same search: the same trail, decisions, watch-list order and
+    literal positions."""
 
     def _unwatch(self, clause):
         for lit in (clause[0], clause[1]):
@@ -524,20 +514,9 @@ class ReferenceSolver(Solver):
             self.phase[v] = lit > 0
             self.assigns[v] = UNDEF
             self.reason[v] = None
-            if self.decision[v]:
-                heapq.heappush(self._heap, (-self.activity[v], v))
         del self.trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = bound
-        if len(self._heap) > 4 * self.nvars + 64:
-            self._rebuild_heap()
-
-    def _rebuild_heap(self):
-        self._heap[:] = [
-            (-self.activity[v], v) for v in range(1, self.nvars + 1)
-            if self.assigns[v] == UNDEF and self.decision[v]
-        ]
-        heapq.heapify(self._heap)
 
     def _var_bump(self, v):
         self.activity[v] += self.var_inc
@@ -545,9 +524,6 @@ class ReferenceSolver(Solver):
             for i in range(1, self.nvars + 1):
                 self.activity[i] *= 1e-100
             self.var_inc *= 1e-100
-            self._rebuild_heap()
-        elif self.assigns[v] == UNDEF and self.decision[v]:
-            heapq.heappush(self._heap, (-self.activity[v], v))
 
     def _solve(self, assumptions, deadline):
         for lit in assumptions:
@@ -592,15 +568,11 @@ class ReferenceSolver(Solver):
                 if val == UNDEF:
                     self._unchecked_enqueue(p, None)
                 continue
-            v = 0
-            while self._heap:
-                negact, cand = heapq.heappop(self._heap)
-                live = self.assigns[cand] == UNDEF and -negact == self.activity[cand]
-                if live and self.decision[cand]:
-                    v = cand
-                    break
-            if v == 0:
+            free = [(-self.activity[v], v) for v in range(1, self.nvars + 1)
+                     if self.assigns[v] == UNDEF and self.decision[v]]
+            if not free:
                 return SatResult(True, list(self.assigns), None)
+            v = min(free)[1]
             self.n_decisions += 1
             self.trail_lim.append(len(self.trail))
             self._unchecked_enqueue(v if self.phase[v] else -v, None)
@@ -610,14 +582,43 @@ def _watch_state(s):
     return [[list(c) for c in wl] for wl in s.watches]
 
 
+def _heap_faults(s):
+    """Breaks of the decision heap's invariant, (0, 0, []) when it holds:
+    the number of parent/child pairs out of order, the number of entries of
+    never-decided variables, and the unassigned decision variables with no
+    entry under their current key."""
+    heap = s._heap
+    inversions = sum(heap[(i - 1) // 2] > heap[i] for i in range(1, len(heap)))
+    never_decided = sum(not s.decision[v] for _, v in heap)
+    entries = set(heap)
+    missing = [v for v in range(1, s.nvars + 1) if s.assigns[v] == UNDEF
+               and s.decision[v] and (-s.activity[v], v) not in entries]
+    return inversions, never_decided, missing
+
+
+def test_fresh_variables_keep_the_decision_heap_a_heap_of_decision_variables():
+    s = Solver(0)
+    for v in range(1, 201):
+        s.fresh_var(decision=v % 5 != 0)
+    assert _heap_faults(s) == (0, 0, [])
+
+
+class HeapChecked(Solver):
+    """Checks the decision heap's invariant after every solve."""
+
+    def solve(self, *args, **kwargs):
+        r = super().solve(*args, **kwargs)
+        assert _heap_faults(self) == (0, 0, [])
+        return r
+
+
 @settings(max_examples=120, deadline=None)
 @given(incremental_scripts())
 def test_propagation_makes_the_reference_search(script):
-    fast, s = _run_script(Solver, *script)
+    fast, s = _run_script(HeapChecked, *script)
     plain, ref = _run_script(ReferenceSolver, *script)
     assert fast == plain
-    assert _watch_state(s) == _watch_state(ref)
-    assert s._heap == ref._heap and s.decision == ref.decision
+    assert _watch_state(s) == _watch_state(ref) and s.decision == ref.decision
     assert s._key == [(-a, v) for v, a in enumerate(s.activity)]
 
 
@@ -635,7 +636,7 @@ def test_already_true_assumptions_make_the_reference_search():
     plain, ref = _run_script(ReferenceSolver, 6, ops)
     assert fast == plain
     assert [sat for sat, _, _ in _solve_answers(fast)] == [True, True, False]
-    assert _watch_state(s) == _watch_state(ref) and s._heap == ref._heap
+    assert _watch_state(s) == _watch_state(ref) and _heap_faults(s) == (0, 0, [])
 
 
 def test_assumption_falsified_by_earlier_assumptions_makes_the_reference_search():
@@ -647,7 +648,7 @@ def test_assumption_falsified_by_earlier_assumptions_makes_the_reference_search(
     assert fast == plain
     assert [(sat, core) for sat, _, core in _solve_answers(fast)] == [
         (False, frozenset({1, 3})), (True, None)]
-    assert _watch_state(s) == _watch_state(ref) and s._heap == ref._heap
+    assert _watch_state(s) == _watch_state(ref) and _heap_faults(s) == (0, 0, [])
 
 
 def test_conflict_on_an_assumption_level_makes_the_reference_search():
@@ -669,7 +670,7 @@ def test_conflict_on_an_assumption_level_makes_the_reference_search():
         (False, frozenset({1, 4})), (True, None), (True, None)]
     assert s.n_conflicts == ref.n_conflicts == 1
     assert s.learnts == ref.learnts and [sorted(c) for c in s.learnts] == [[-4, -1]]
-    assert _watch_state(s) == _watch_state(ref) and s._heap == ref._heap
+    assert _watch_state(s) == _watch_state(ref) and _heap_faults(s) == (0, 0, [])
 
 
 def _free_chain(n):
@@ -789,7 +790,7 @@ def test_learnt_clause_reduction_makes_the_reference_search():
     assert s.reductions == ref.reductions > 0 and s.dropped == ref.dropped > 0
     assert s.learnts == ref.learnts
     assert _watch_state(s) == _watch_state(ref)
-    assert s._heap == ref._heap
+    assert _heap_faults(s) == (0, 0, [])
 
 
 def test_propagation_leaves_the_sweeps_unchanged(monkeypatch):
