@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -533,12 +534,27 @@ def cmd_plot(args) -> int:
 # --- entry point -------------------------------------------------------------------
 
 
+def _positive(kind):
+    """An argparse type: a finite `kind` above zero. A NaN or infinite
+    timeout would disable the budget, and a zero or negative one or a
+    frontier cap below 1 would only ever answer unknown."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be a finite number above 0, not {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it on a ValueError
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # flags of every subcommand that runs PDR; validate and plot take none
     engine = argparse.ArgumentParser(add_help=False)
-    engine.add_argument("--timeout", type=float, default=None, dest="timeout_s",
+    engine.add_argument("--timeout", type=_positive(float), default=None, dest="timeout_s",
                         help="wall-clock budget in seconds per instance")
-    engine.add_argument("--max-k", type=int, default=None, dest="max_k",
+    engine.add_argument("--max-k", type=_positive(int), default=None, dest="max_k",
                         help="frontier cap before giving up")
     engine.add_argument("--debug-invariants", action="store_true",
                         dest="debug_invariants")

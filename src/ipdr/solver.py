@@ -45,17 +45,18 @@ ternary clause without a loop; `_cancel_until`, `_analyze` and
 `_analyze_final` take a literal's variable inline.
 
 Each decision is the unassigned decision variable with the least key
-(-activity, v). The decision heap makes it so by one invariant: it is a
-valid heap (every push is a `heappush`) of decision variables' keys, and
-every unassigned decision variable has an entry with its current key.
-Entries of assigned variables and outdated keys stay until a pop skips
-them; `_cancel_until` pushes every decision variable it unassigns, even
-one whose entry is still live, and the duplicate changes no decision. Each
+(-activity, v), the one MiniSat's order heap would pop. With a hundred or
+so live variables a scan is cheaper in the interpreter than a heap, so the
+solver keeps a decision order instead: `_order` lists the decision
+variables (`simplify` drops those fixed at level 0), and `_next` is a scan
+cursor into it. The invariant: `_order` holds no never-decided variable
+and no variable twice, holds every unassigned decision variable, is sorted
+by the current keys unless `_dirty` is set, and every entry before `_next`
+is assigned. A decision scans on from `_next` to the first unassigned
+entry. A backtrack only resets the cursor, an activity bump only sets
+`_dirty`, and the next decision re-sorts, about once per conflict. Each
 key is built once per change of its variable's activity and kept in
-`_key`, so a push builds no tuple. A SAT answer with every variable
-assigned clears the heap instead of popping it empty: every entry is
-stale, so the pops would leave the same empty heap, which `_cancel_until(0)`
-then refills.
+`_key`.
 
 The search also depends on the position of each literal in a clause, which
 the code does not show: `clause[0]` is the literal a reason clause implies
@@ -64,9 +65,9 @@ the code does not show: `clause[0]` is the literal a reason clause implies
 
 from __future__ import annotations
 
-import heapq
 import random
 import time
+from bisect import insort
 from typing import Iterable, Sequence
 
 from .cnf import Cube, var_of
@@ -143,10 +144,13 @@ class Solver:
         self.var_decay = 0.95
         self.cla_inc = 1.0
         self.cla_decay = 0.999
-        # the decision heap holds `_key[v]`, which is (-activity[v], v) and is
-        # replaced whenever activity[v] changes
-        self._heap: list[tuple[float, int]] = []
+        # the decision order (see the module docstring); `_key[v]` is
+        # (-activity[v], v) and is replaced whenever activity[v] changes
+        self._order: list[int] = []
+        self._next = 0
+        self._dirty = False
         self._key: list[tuple[float, int]] = [(0.0, 0)]
+        self._undecided = 0  # how many variables are never-decided
         self.max_learnts = 4000.0
         # level-0 simplification (MiniSat's simpDB_assigns / simpDB_props):
         # the trail length at the last pass, and the propagation count at
@@ -172,15 +176,16 @@ class Solver:
         self.reason.append(None)
         jitter = self._rng.random() * 1e-9
         self.activity.append(jitter)
-        key = (-jitter, v)
-        self._key.append(key)
+        self._key.append((-jitter, v))
         self.phase.append(False)
         self.decision.append(decision)
         self._seen.append(0)
         self.watches.append([])
         self.watches.append([])
         if decision:
-            heapq.heappush(self._heap, key)
+            insort(self._order, v, key=self._key.__getitem__)
+        else:
+            self._undecided += 1
         return v
 
     def set_phases(self, lits: Iterable[int]) -> None:
@@ -239,13 +244,15 @@ class Solver:
                 return False
             return True
         clause = simplified
-        decision = self.decision
-        free = [lit for lit in clause if lit > 0 and not decision[lit]]
-        if len(free) > 1:
-            # every kept literal is unassigned, so each goes on the heap
-            for v in free:
-                decision[v] = 1
-                heapq.heappush(self._heap, self._key[v])
+        if self._undecided:
+            decision = self.decision
+            free = [lit for lit in clause if lit > 0 and not decision[lit]]
+            if len(free) > 1:
+                # every kept literal is unassigned, so each joins the order
+                self._undecided -= len(free)
+                for v in free:
+                    decision[v] = 1
+                    insort(self._order, v, key=self._key.__getitem__)
         self.clauses.append(clause)
         self._watch(clause)
         return True
@@ -287,16 +294,15 @@ class Solver:
         self.trail.append(lit)
 
     def _cancel_until(self, lvl: int) -> None:
+        # any entry of the decision order may come unassigned, so the next
+        # decision scans it from the start
+        self._next = 0
         if len(self.trail_lim) <= lvl:
             return
         bound = self.trail_lim[lvl]
         assigns = self.assigns
         phase = self.phase
         reason = self.reason
-        decision = self.decision
-        heap = self._heap
-        key = self._key
-        push = heapq.heappush
         trail = self.trail
         for lit in reversed(trail[bound:]):
             if lit > 0:
@@ -307,22 +313,9 @@ class Solver:
                 phase[v] = False
             assigns[v] = UNDEF
             reason[v] = None
-            if decision[v]:
-                push(heap, key[v])
         del trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = bound
-        if len(heap) > 4 * self.nvars + 64:
-            self._rebuild_heap()
-
-    def _rebuild_heap(self) -> None:
-        # in place: `_solve` holds the list for the whole search
-        key = self._key
-        assigns = self.assigns
-        decision = self.decision
-        self._heap[:] = [key[v] for v in range(1, self.nvars + 1)
-                         if assigns[v] == UNDEF and decision[v]]
-        heapq.heapify(self._heap)
 
     # --- activity --------------------------------------------------------------
 
@@ -330,17 +323,15 @@ class Solver:
         activity = self.activity
         act = activity[v] + self.var_inc
         activity[v] = act
+        self._dirty = True
         if act > 1e100:
             nvars = self.nvars
             for i in range(1, nvars + 1):
                 activity[i] *= 1e-100
             self.var_inc *= 1e-100
             self._key[1:] = [(-activity[i], i) for i in range(1, nvars + 1)]
-            self._rebuild_heap()
-            return
-        key = self._key[v] = (-act, v)
-        if self.assigns[v] == UNDEF and self.decision[v]:
-            heapq.heappush(self._heap, key)
+        else:
+            self._key[v] = (-act, v)
 
     def _var_decay_apply(self) -> None:
         self.var_inc /= self.var_decay
@@ -474,29 +465,28 @@ class Solver:
                     push_trail(p)
                     n_trail += 1
                 continue
-            if n_trail == self.nvars:
-                # every variable is assigned, so every heap entry is stale:
-                # popping them all would leave this same empty heap
-                self._heap.clear()
-                break
-            # check the deadline before the pop, so that a timeout leaves
-            # every unassigned variable its heap entry
             n_decisions = self.n_decisions + 1
             if deadline is not None and n_decisions % 1024 == 0:
                 if time.perf_counter() > deadline:
                     self.qhead = qhead
                     self.n_propagations += qhead - qhead0
                     raise SolverTimeout()
-            # every unassigned decision variable has an entry with its
-            # current key, so an empty heap means all of them are assigned
-            heap = self._heap
-            activity = self.activity
-            while heap:
-                negact, v = heapq.heappop(heap)
-                if assigns[v] == 0 and -negact == activity[v]:
-                    break
+            # the first unassigned entry of the order; past the end, every
+            # decision variable is assigned
+            order = self._order
+            if self._dirty:
+                order.sort(key=self._key.__getitem__)
+                self._dirty = False
+                i = 0
             else:
+                i = self._next
+            n = len(order)
+            while i < n and assigns[order[i]]:
+                i += 1
+            if i == n:
                 break
+            v = order[i]
+            self._next = i + 1
             self.n_decisions = n_decisions
             trail_lim.append(n_trail)
             dl += 1
@@ -679,6 +669,8 @@ class Solver:
                 if id(c) in removed:
                     del meta[id(c)]
             self.learnts = learnts
+        assigns = self.assigns
+        self._order = [v for v in self._order if not assigns[v]]
         self._simp_assigns = len(self.trail)
         db_lits = sum(map(len, self.clauses)) + sum(map(len, self.learnts))
         self._simp_due = self.n_propagations + db_lits

@@ -757,6 +757,21 @@ def test_subcommands_refuse_flags_they_do_not_use(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--timeout", "nan"), ("--timeout", "inf"), ("--timeout", "-1"), ("--timeout", "0"),
+     ("--max-k", "0"), ("--max-k", "-1")],
+)
+def test_engine_budgets_must_be_finite_and_positive(capsys, chain3, flag, value):
+    # a NaN or infinite timeout would run with no budget at all, and a
+    # budget at or below zero could only ever answer unknown
+    with pytest.raises(SystemExit) as exc:
+        main(["pebble", chain3, flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: must be a finite number above 0, not '{value}'" in err
+
+
 def _counter_records(rows):
     return [
         {k: v for k, v in r.as_record().items() if not k.endswith("_s")}

@@ -169,8 +169,8 @@ def test_two_positive_never_decided_literals_make_decision_variables():
     y = s.fresh_var(decision=False)
     for c in ([x, y], [-x, -y], [x, -y], [-x, y]):
         s.add_clause(c)
-    # with both left undecided, propagation ends at once on an empty heap
-    # and the search would answer SAT
+    # with both left undecided, the decision order would hold neither
+    # variable and the search would answer SAT at once
     assert s.decision[x] and s.decision[y]
     assert not s.solve().sat
 
@@ -419,7 +419,7 @@ class ReferenceSolver(Solver):
     `_var_bump` and `_reduce_db`: a `while` loop over each watch list, one
     `_unchecked_enqueue` call per assigned literal, `var_of` on each
     literal, a decision step that scans every variable for the unassigned
-    decision variable with the least (-activity, v), with no heap, and a
+    decision variable with the least (-activity, v), with no order, and a
     reduction that scans both watch lists of each dropped clause for it.
     Its `_solve` keeps propagation, assumption pushes and decisions apart,
     as MiniSat does, where `Solver._propagate` pushes and decides itself.
@@ -582,40 +582,49 @@ def _watch_state(s):
     return [[list(c) for c in wl] for wl in s.watches]
 
 
-def _heap_faults(s):
-    """Breaks of the decision heap's invariant, (0, 0, []) when it holds:
-    the number of parent/child pairs out of order, the number of entries of
-    never-decided variables, and the unassigned decision variables with no
-    entry under their current key."""
-    heap = s._heap
-    inversions = sum(heap[(i - 1) // 2] > heap[i] for i in range(1, len(heap)))
-    never_decided = sum(not s.decision[v] for _, v in heap)
-    entries = set(heap)
-    missing = [v for v in range(1, s.nvars + 1) if s.assigns[v] == UNDEF
-               and s.decision[v] and (-s.activity[v], v) not in entries]
-    return inversions, never_decided, missing
+def _order_faults(s):
+    """Breaks of the decision order's invariant, [] when it holds."""
+    order = s._order
+    listed = set(order)
+    faults = []
+    if not s._dirty and order != sorted(order, key=lambda v: (-s.activity[v], v)):
+        faults.append("not sorted by the current keys")
+    if len(listed) < len(order):
+        faults.append("a variable twice")
+    faults += [f"never-decided {v}" for v in order if not s.decision[v]]
+    faults += [f"{v} missing" for v in range(1, s.nvars + 1)
+               if s.assigns[v] == UNDEF and s.decision[v] and v not in listed]
+    faults += [f"unassigned {v} before the cursor" for v in order[:s._next]
+               if s.assigns[v] == UNDEF]
+    return faults
 
 
-def test_fresh_variables_keep_the_decision_heap_a_heap_of_decision_variables():
+def test_fresh_variables_keep_the_decision_order_of_decision_variables():
     s = Solver(0)
     for v in range(1, 201):
         s.fresh_var(decision=v % 5 != 0)
-    assert _heap_faults(s) == (0, 0, [])
+    assert _order_faults(s) == []
+    assert len(s._order) == 160 and not s._dirty
 
 
-class HeapChecked(Solver):
-    """Checks the decision heap's invariant after every solve."""
+class OrderChecked(Solver):
+    """Checks the decision order's invariant after every clause and solve."""
+
+    def add_clause(self, lits):
+        r = super().add_clause(lits)
+        assert _order_faults(self) == []
+        return r
 
     def solve(self, *args, **kwargs):
         r = super().solve(*args, **kwargs)
-        assert _heap_faults(self) == (0, 0, [])
+        assert _order_faults(self) == []
         return r
 
 
 @settings(max_examples=120, deadline=None)
 @given(incremental_scripts())
 def test_propagation_makes_the_reference_search(script):
-    fast, s = _run_script(HeapChecked, *script)
+    fast, s = _run_script(OrderChecked, *script)
     plain, ref = _run_script(ReferenceSolver, *script)
     assert fast == plain
     assert _watch_state(s) == _watch_state(ref) and s.decision == ref.decision
@@ -636,7 +645,7 @@ def test_already_true_assumptions_make_the_reference_search():
     plain, ref = _run_script(ReferenceSolver, 6, ops)
     assert fast == plain
     assert [sat for sat, _, _ in _solve_answers(fast)] == [True, True, False]
-    assert _watch_state(s) == _watch_state(ref) and _heap_faults(s) == (0, 0, [])
+    assert _watch_state(s) == _watch_state(ref) and _order_faults(s) == []
 
 
 def test_assumption_falsified_by_earlier_assumptions_makes_the_reference_search():
@@ -648,7 +657,7 @@ def test_assumption_falsified_by_earlier_assumptions_makes_the_reference_search(
     assert fast == plain
     assert [(sat, core) for sat, _, core in _solve_answers(fast)] == [
         (False, frozenset({1, 3})), (True, None)]
-    assert _watch_state(s) == _watch_state(ref) and _heap_faults(s) == (0, 0, [])
+    assert _watch_state(s) == _watch_state(ref) and _order_faults(s) == []
 
 
 def test_conflict_on_an_assumption_level_makes_the_reference_search():
@@ -670,7 +679,7 @@ def test_conflict_on_an_assumption_level_makes_the_reference_search():
         (False, frozenset({1, 4})), (True, None), (True, None)]
     assert s.n_conflicts == ref.n_conflicts == 1
     assert s.learnts == ref.learnts and [sorted(c) for c in s.learnts] == [[-4, -1]]
-    assert _watch_state(s) == _watch_state(ref) and _heap_faults(s) == (0, 0, [])
+    assert _watch_state(s) == _watch_state(ref) and _order_faults(s) == []
 
 
 def _free_chain(n):
@@ -790,7 +799,7 @@ def test_learnt_clause_reduction_makes_the_reference_search():
     assert s.reductions == ref.reductions > 0 and s.dropped == ref.dropped > 0
     assert s.learnts == ref.learnts
     assert _watch_state(s) == _watch_state(ref)
-    assert _heap_faults(s) == (0, 0, [])
+    assert _order_faults(s) == []
 
 
 def test_propagation_leaves_the_sweeps_unchanged(monkeypatch):
@@ -1108,24 +1117,50 @@ def test_solver_matches_dpll_on_3cnf(seed):
     assert s.solve([]).sat == expected
 
 
-def test_heap_rebuild_keeps_the_list_the_search_holds():
-    """`_solve` binds the decision heap once per search; a rebuild (a long
-    backjump or an activity rescale) must refill that list, not replace it."""
+def test_simplify_drops_level_0_variables_from_the_decision_order():
     s = make_solver(4, [[1, 2], [-1, 3]])
-    heap = s._heap
-    s._var_bump(2)
-    s._rebuild_heap()
-    assert s._heap is heap
-    assert sorted(v for _, v in heap) == [1, 2, 3, 4]
-    assert heap[0] == (-s.activity[2], 2)
+    s.add_clause([-1])
+    s.add_clause([4])
+    assert s.trail == [-1, 2, 4] and s._order == [1, 2, 3, 4]
+    s.simplify()
+    assert s._order == [3] and _order_faults(s) == []
+    # the one variable left is the only decision
+    assert s.solve().sat and s.n_decisions == 1
 
 
-def test_activity_rescale_refreshes_every_heap_key():
+def test_activity_rescale_refreshes_every_key_of_the_order():
     s = make_solver(4, [[1, 2], [-1, 3]])
-    heap = s._heap
     s.var_inc = 2e100
     s._var_bump(3)
     assert s.activity[3] < 3.0 and s.var_inc < 3.0  # scaled by 1e-100
     assert s._key == [(-a, v) for v, a in enumerate(s.activity)]
-    assert s._heap is heap and heap[0] == s._key[3]
-    assert sorted(heap) == sorted(s._key[1:])
+    assert s._dirty and _order_faults(s) == []
+    assert s._propagate([]) is None  # decides until every variable is set
+    assert s.trail[0] == -3 and s._order[0] == 3 and not s._dirty
+
+
+@pytest.mark.parametrize("make", [lambda: _free_chain(1100), lambda: pigeonhole(6, 5)],
+                         ids=["decision-deadline", "restart-deadline"])
+def test_timeout_leaves_the_decision_order_valid(make):
+    s = make()
+    with time_limit(30), pytest.raises(SolverTimeout):
+        s.solve(deadline=time.perf_counter() - 1.0)
+    assert s.n_decisions > 0 and _order_faults(s) == []
+    with time_limit(30):
+        r, fresh = s.solve(), make().solve()
+    assert (r.sat, r._assigns, r.core) == (fresh.sat, fresh._assigns, fresh.core)
+
+
+def test_a_new_decision_variable_enters_the_order_at_its_key():
+    s = Solver(0)
+    s.fresh_vars(3)
+    x = s.fresh_var(decision=False)
+    y = s.fresh_var(decision=False)
+    s._var_bump(x)
+    assert s.solve().sat and not s._dirty  # the decision re-sorted the order
+    assert x not in s._order and s._undecided == 2
+    s.add_clause([x, y])
+    assert s._order[0] == x and y in s._order and s._undecided == 0
+    assert not s._dirty and _order_faults(s) == []
+    assert s._propagate([]) is None
+    assert s.trail[0] == -x  # the most active variable is decided first
